@@ -8,7 +8,6 @@ precoding, multi-user links, and the focusing figures of merit.
 from .channel import (
     CavityParams,
     ChannelEnsemble,
-    Path,
     PathSet,
     RxGrid,
     SPEED_OF_LIGHT_M_S,
@@ -41,7 +40,7 @@ from .experiment import (
     run_experiment,
     sound_cirs,
 )
-from .link import SpaceTimeField, TrdmaResult, focus_field, ook_link, trdma_link
+from .link import SpaceTimeField, TrdmaResult, focus_field, trdma_link
 from .metrics import (
     FocusingReport,
     SpatialProfile,
@@ -64,8 +63,6 @@ from .signalops import (
     convolve,
     gen_chirp,
     inband_nmse_db,
-    resample_rational,
-    time_reverse_conjugate,
     wiener_deconvolve,
 )
 

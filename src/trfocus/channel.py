@@ -52,20 +52,6 @@ def _unit3(v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Path:
-    """One physical propagation path seen at the receiver region."""
-
-    delay_s: float
-    direction: np.ndarray
-    amplitude: complex
-
-    def __post_init__(self):
-        if self.delay_s < 0:
-            raise ParameterError("path delay must be nonnegative")
-        object.__setattr__(self, "direction", _unit3(self.direction))
-
-
-@dataclass(frozen=True)
 class PathSet:
     """A channel realization: P paths stored as parallel arrays."""
 
@@ -95,9 +81,6 @@ class PathSet:
     def __len__(self) -> int:
         return self.delays_s.size
 
-    def __getitem__(self, i: int) -> Path:
-        return Path(float(self.delays_s[i]), self.directions[i], complex(self.amplitudes[i]))
-
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -112,15 +95,15 @@ class CavityParams:
     oversample: int = 4
 
     def __post_init__(self):
-        if self.carrier_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ParameterError("carrier_hz and bandwidth_hz must be positive")
-        if self.decay_time_s <= 0 or self.max_delay_s <= 0:
-            raise ParameterError("decay_time_s and max_delay_s must be positive")
+        for name in ("carrier_hz", "bandwidth_hz", "decay_time_s", "max_delay_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{name} must be positive and finite")
         if not 0 < self.aperture_half_angle_rad <= math.pi:
             raise ParameterError("aperture_half_angle_rad must lie in (0, pi]")
-        if self.n_paths < 1:
+        if not self.n_paths >= 1:
             raise ParameterError("n_paths must be a positive integer")
-        if self.oversample < 1 or int(self.oversample) != self.oversample:
+        if not (self.oversample >= 1 and float(self.oversample).is_integer()):
             raise ParameterError("oversample must be an integer >= 1")
 
     @property

@@ -7,12 +7,13 @@ Exit codes: 0 success, 2 invalid configuration or unknown figure id,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .channel import RxGrid
-from .errors import TrfocusError
+from .errors import ConfigError, TrfocusError
 from .experiment import (
     FIGURE_IDS,
     PRESETS,
@@ -31,25 +32,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each dest is the config-file key the flag overrides.
     run_p = sub.add_parser("run", help="run a seeded Monte-Carlo campaign")
     run_p.add_argument("--config", help="JSON config file; flags override its values")
     run_p.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
-    run_p.add_argument("--bandwidth", type=float, help="bandwidth B in Hz")
-    run_p.add_argument("--nt", type=int, help="number of Tx antennas")
-    run_p.add_argument("--trials", type=int, help="number of Monte-Carlo trials")
+    run_p.add_argument("--bandwidth", dest="bandwidth_hz", type=float, help="bandwidth B in Hz")
+    run_p.add_argument("--nt", dest="n_tx", type=int, help="number of Tx antennas")
+    run_p.add_argument("--trials", dest="n_trials", type=int, help="number of Monte-Carlo trials")
     run_p.add_argument("--seed", type=int, help="root seed")
     run_p.add_argument("--grid-start", type=float, help="first grid position (m)")
     run_p.add_argument("--grid-stop", type=float, help="last grid position (m)")
     run_p.add_argument("--grid-step", type=float, help="grid step (m)")
-    run_p.add_argument("--target", type=float, help="focusing target position (m)")
+    run_p.add_argument(
+        "--target", dest="target_m", type=float, help="focusing target position (m)"
+    )
     run_p.add_argument(
         "--users",
+        dest="users_m",
         type=float,
         nargs="+",
         help="TRDMA user target positions (m), at least two",
     )
-    run_p.add_argument("--csi", choices=("perfect", "sounded"), help="CSI mode")
-    run_p.add_argument("--chirp-duration", type=float, help="sounding chirp length (s)")
+    run_p.add_argument("--csi", dest="csi_mode", choices=("perfect", "sounded"), help="CSI mode")
+    run_p.add_argument(
+        "--chirp-duration", dest="chirp_duration_s", type=float, help="sounding chirp length (s)"
+    )
     run_p.add_argument(
         "--sounding-snr-db",
         type=float,
@@ -74,93 +81,69 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "preset",
-    "bandwidth_hz",
-    "n_tx",
-    "n_trials",
-    "seed",
-    "grid",
-    "target_m",
-    "users_m",
-    "csi_mode",
-    "chirp_duration_s",
-    "sounding_snr_db",
-    "tx_energy",
-    "symbol_period_samples",
-    "outdir",
+# Config-file keys and their ScenarioConfig annotations; a run may replace
+# the preset's cavity only through its bandwidth.
+_CONFIG_TYPES = {
+    f.name: f.type for f in dataclasses.fields(ScenarioConfig) if f.name != "cavity"
 }
+_CONFIG_TYPES["bandwidth_hz"] = "float"
+_GRID_KEYS = ("start_m", "stop_m", "step_m")
+
+
+def _check_value(key: str, value, kind: str):
+    """value checked against an annotation such as 'float' or 'int | None'."""
+    if value is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind == "RxGrid":
+        if not isinstance(value, dict) or set(value) != set(_GRID_KEYS):
+            raise ConfigError(f"grid must be an object with keys {list(_GRID_KEYS)}")
+        bounds = (_check_value(f"grid.{k}", value[k], "float") for k in _GRID_KEYS)
+        return RxGrid(_grid_positions(*bounds))
+    if kind == "tuple[float, ...]":
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list of numbers")
+        return tuple(_check_value(key, v, "float") for v in value)
+    allowed = {"str": str, "int": int, "float": (int, float)}[kind]
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{key} must be of type {kind}, got {value!r}")
+    return value
+
+
+def _read_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = set(values) - set(_CONFIG_TYPES)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return values
 
 
 def _config_from_args(args) -> ScenarioConfig:
-    file_cfg: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - _CONFIG_KEYS
-        if unknown:
-            raise TrfocusError(f"unknown config keys: {sorted(unknown)}")
-
-    preset = args.preset or file_cfg.get("preset")
-    if preset is None:
-        raise TrfocusError("a preset is required (--preset or config 'preset')")
-
-    overrides: dict = {}
-    for key in (
-        "bandwidth_hz",
-        "n_tx",
-        "n_trials",
-        "seed",
-        "target_m",
-        "users_m",
-        "csi_mode",
-        "chirp_duration_s",
-        "sounding_snr_db",
-        "tx_energy",
-        "symbol_period_samples",
-        "outdir",
-    ):
-        if key in file_cfg:
-            overrides[key] = file_cfg[key]
-
-    grid_cfg = file_cfg.get("grid")
-    grid_parts = [args.grid_start, args.grid_stop, args.grid_step]
-    if any(v is not None for v in grid_parts):
-        if any(v is None for v in grid_parts):
-            raise TrfocusError("--grid-start/--grid-stop/--grid-step go together")
-        grid_cfg = {
-            "start_m": args.grid_start,
-            "stop_m": args.grid_stop,
-            "step_m": args.grid_step,
-        }
-    if grid_cfg is not None:
-        overrides["grid"] = RxGrid(
-            _grid_positions(grid_cfg["start_m"], grid_cfg["stop_m"], grid_cfg["step_m"])
-        )
-
-    if args.bandwidth is not None:
-        overrides["bandwidth_hz"] = args.bandwidth
-    if args.nt is not None:
-        overrides["n_tx"] = args.nt
-    if args.trials is not None:
-        overrides["n_trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.target is not None:
-        overrides["target_m"] = args.target
-    if args.users is not None:
-        overrides["users_m"] = tuple(args.users)
-    if args.csi is not None:
-        overrides["csi_mode"] = args.csi
-    if args.chirp_duration is not None:
-        overrides["chirp_duration_s"] = args.chirp_duration
-    if args.sounding_snr_db is not None:
-        overrides["sounding_snr_db"] = args.sounding_snr_db
+    values = _read_config_file(args.config) if args.config else {}
+    grid_flags = [args.grid_start, args.grid_stop, args.grid_step]
+    if any(v is not None for v in grid_flags):
+        if any(v is None for v in grid_flags):
+            raise ConfigError("--grid-start/--grid-stop/--grid-step go together")
+        values["grid"] = dict(zip(_GRID_KEYS, grid_flags))
+    values.update(
+        (key, value)
+        for key, value in vars(args).items()
+        if key in _CONFIG_TYPES and value is not None
+    )
     if args.sounding_noiseless:
-        overrides["sounding_snr_db"] = None
-    if args.outdir is not None:
-        overrides["outdir"] = args.outdir
-
+        values["sounding_snr_db"] = None
+    overrides = {
+        key: _check_value(key, value, _CONFIG_TYPES[key]) for key, value in values.items()
+    }
+    preset = overrides.pop("preset", None)
+    if preset is None:
+        raise ConfigError("a preset is required (--preset or config 'preset')")
     return config_from_preset(preset, **overrides)
 
 

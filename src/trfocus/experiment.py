@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.signal
@@ -116,8 +116,10 @@ PRESETS: dict[str, Preset] = {
 
 
 def _grid_positions(start_m: float, stop_m: float, step_m: float) -> np.ndarray:
-    if step_m <= 0:
-        raise ConfigError("grid step must be positive")
+    if not (math.isfinite(start_m) and math.isfinite(stop_m)):
+        raise ConfigError("grid start and stop must be finite")
+    if not (math.isfinite(step_m) and step_m > 0):
+        raise ConfigError("grid step must be positive and finite")
     if stop_m < start_m:
         raise ConfigError("grid stop must not precede start")
     n = int(math.floor((stop_m - start_m) / step_m + 0.5)) + 1
@@ -159,14 +161,24 @@ class ScenarioConfig:
             raise ConfigError("n_trials must be >= 1")
         if self.n_tx < 1:
             raise ConfigError("n_tx must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.csi_mode not in ("perfect", "sounded"):
             raise ConfigError("csi mode must be 'perfect' or 'sounded'")
-        if self.csi_mode == "sounded" and self.chirp_duration_s <= 0:
-            raise ConfigError("chirp_duration_s must be positive")
-        if self.tx_energy <= 0:
-            raise ConfigError("tx_energy must be positive")
+        if self.csi_mode == "sounded" and not (
+            math.isfinite(self.chirp_duration_s) and self.chirp_duration_s > 0
+        ):
+            raise ConfigError("chirp_duration_s must be positive and finite")
+        if self.sounding_snr_db is not None and not math.isfinite(self.sounding_snr_db):
+            raise ConfigError("sounding_snr_db must be finite; None means noiseless")
+        if not (math.isfinite(self.tx_energy) and self.tx_energy > 0):
+            raise ConfigError("tx_energy must be positive and finite")
+        if self.symbol_period_samples is not None and self.symbol_period_samples < 1:
+            raise ConfigError("symbol_period_samples must be >= 1")
         self.target_index  # validates target on grid
         if self.users_m is not None:
+            if len(self.users_m) < 2:
+                raise ConfigError("TRDMA needs at least two user positions")
             idx = self.user_indices
             if len(set(idx)) != len(idx):
                 raise ConfigError("user positions must be distinct grid points")
@@ -174,7 +186,7 @@ class ScenarioConfig:
     def _position_index(self, position_m: float) -> int:
         diffs = np.abs(self.grid.positions_m - position_m)
         idx = int(np.argmin(diffs))
-        if diffs[idx] > 1e-9:
+        if not diffs[idx] <= 1e-9:  # also rejects NaN
             raise ConfigError(f"position {position_m} m does not lie on the grid")
         return idx
 
@@ -198,9 +210,8 @@ class ScenarioConfig:
 def config_from_preset(preset_name: str, **overrides) -> ScenarioConfig:
     """ScenarioConfig for a named preset; overrides replace preset fields.
 
-    Recognized overrides: bandwidth_hz, n_tx, target_m, users_m, n_trials,
-    seed, csi_mode, chirp_duration_s, sounding_snr_db, tx_energy,
-    symbol_period_samples, outdir, grid (an RxGrid replacing the preset's).
+    Overrides are ScenarioConfig fields other than ``cavity``, plus
+    ``bandwidth_hz``, which rebuilds the preset's cavity at that bandwidth.
     """
     if preset_name not in PRESETS:
         raise ConfigError(
@@ -333,7 +344,7 @@ def run_trial(config: ScenarioConfig, trial: int, seed_seq: np.random.SeedSequen
 
     sir_db = None
     isi_db = None
-    if config.users_m is not None and len(config.users_m) >= 2:
+    if config.users_m is not None:
         user_idx = config.user_indices
         banks = [
             _bank_for_target(config, ensemble, u, sounding_rng) for u in user_idx
@@ -364,16 +375,25 @@ def run_trial(config: ScenarioConfig, trial: int, seed_seq: np.random.SeedSequen
     )
 
 
-def run_trials(config: ScenarioConfig) -> list[TrialOutput]:
-    """All trials of a campaign, trial-parallel, deterministic ordering."""
+def map_trials(
+    config: ScenarioConfig, fn: Callable[[int, np.random.SeedSequence], object]
+) -> list:
+    """fn(t, seed_seq) for every trial t, returned in trial order.
+
+    Trial t always receives child t of SeedSequence(config.seed), so the
+    results do not depend on the worker count (see thread_count).
+    """
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
     workers = thread_count()
     if workers == 1 or config.n_trials == 1:
-        return [run_trial(config, t, children[t]) for t in range(config.n_trials)]
+        return [fn(t, children[t]) for t in range(config.n_trials)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda t: run_trial(config, t, children[t]), range(config.n_trials))
-        )
+        return list(pool.map(fn, range(config.n_trials), children))
+
+
+def run_trials(config: ScenarioConfig) -> list[TrialOutput]:
+    """All trials of a campaign, trial-parallel, deterministic ordering."""
+    return map_trials(config, lambda t, seed_seq: run_trial(config, t, seed_seq))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +414,13 @@ def _mean_or_none(values) -> float | None:
 def _db_profile(mean_linear: np.ndarray) -> np.ndarray:
     ref = float(mean_linear.max())
     return 10.0 * np.log10(np.maximum(mean_linear, 1e-300) / max(ref, 1e-300))
+
+
+def _write_profile_csv(path, positions, power_db) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("position_m,power_db\n")
+        for x, p in zip(positions, power_db):
+            fh.write(f"{_fmt(x)},{_fmt(p)}\n")
 
 
 def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) -> dict:
@@ -433,10 +460,7 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
                         f"{o.report.trial},{_fmt(x)},{_fmt(p)},{_fmt(o.peak_time_s)}\n"
                     )
         mean_spatial = np.mean([o.spatial_power for o in outputs], axis=0)
-        with open(out / "spatial_mean.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("position_m,power_db\n")
-            for x, p in zip(positions, _db_profile(mean_spatial)):
-                fh.write(f"{_fmt(x)},{_fmt(p)}\n")
+        _write_profile_csv(out / "spatial_mean.csv", positions, _db_profile(mean_spatial))
 
     with open(out / "trials.json", "w", encoding="utf-8") as fh:
         json.dump([o.report.to_dict() for o in outputs], fh, indent=2, sort_keys=True)
@@ -475,23 +499,34 @@ def run_experiment(config: ScenarioConfig) -> dict:
 FIGURE_IDS = ("fig2a", "fig2b", "fig3", "fig4")
 
 
+def _mean_profile(config: ScenarioConfig, fn) -> np.ndarray:
+    """Trial mean of the per-position profile fn(ensemble), one fresh
+    channel ensemble per trial."""
+
+    def trial_profile(t: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
+        rng = np.random.default_rng(seed_seq)
+        return fn(build_ensemble(config.cavity, config.grid, config.n_tx, rng))
+
+    acc = np.zeros(len(config.grid.positions_m))
+    for profile in map_trials(config, trial_profile):
+        acc += profile
+    return acc / config.n_trials
+
+
 def _dual_target_mean_profile(config: ScenarioConfig, targets_m: Sequence[float]) -> np.ndarray:
     """Mean spatial power profile when two TR streams are superposed."""
     indices = [config._position_index(t) for t in targets_m]
-    children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
     length = config.cavity.cir_length
-    acc = np.zeros(len(config.grid.positions_m))
-    for t in range(config.n_trials):
-        ensemble = build_ensemble(
-            config.cavity, config.grid, config.n_tx, np.random.default_rng(children[t])
-        )
+
+    def power(ensemble: ChannelEnsemble) -> np.ndarray:
         total = None
         for idx in indices:
             bank = tr_filters(ensemble.cirs_at(idx), config.tx_energy / len(indices))
             fld = focus_field(bank, ensemble)
             total = fld.field if total is None else total + fld.field
-        acc += np.abs(total[:, length - 1]) ** 2
-    return acc / config.n_trials
+        return np.abs(total[:, length - 1]) ** 2
+
+    return _mean_profile(config, power)
 
 
 def _no_tr_mean_profile(config: ScenarioConfig) -> np.ndarray:
@@ -506,24 +541,14 @@ def _no_tr_mean_profile(config: ScenarioConfig) -> np.ndarray:
         params.carrier_hz,
     )
     filt = probe.samples * math.sqrt(config.tx_energy / probe.energy)
-    children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
-    acc = np.zeros(len(config.grid.positions_m))
-    for t in range(config.n_trials):
-        ensemble = build_ensemble(
-            config.cavity, config.grid, config.n_tx, np.random.default_rng(children[t])
-        )
+
+    def power(ensemble: ChannelEnsemble) -> np.ndarray:
         rows = scipy.signal.fftconvolve(ensemble.cirs[0], filt[None, :], axes=1)
         for a in range(1, config.n_tx):
             rows += scipy.signal.fftconvolve(ensemble.cirs[a], filt[None, :], axes=1)
-        acc += np.mean(np.abs(rows) ** 2, axis=1)
-    return acc / config.n_trials
+        return np.mean(np.abs(rows) ** 2, axis=1)
 
-
-def _write_profile_csv(path, positions, power_db) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("position_m,power_db\n")
-        for x, p in zip(positions, power_db):
-            fh.write(f"{_fmt(x)},{_fmt(p)}\n")
+    return _mean_profile(config, power)
 
 
 def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) -> dict:

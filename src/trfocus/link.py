@@ -1,8 +1,7 @@
 """Propagation of precoded transmissions through a channel ensemble.
 
-Produces the space-time received field of a TR bank over the whole grid,
-the U x U cross-received table for multi-user (TRDMA) operation, and an
-empirical bit error rate for the single-tap non-coherent OOK receiver.
+Produces the space-time received field of a TR bank over the whole grid
+and the U x U cross-received table for multi-user (TRDMA) operation.
 """
 
 from __future__ import annotations
@@ -75,34 +74,19 @@ def _bank_through_channel(bank: TrFilterBank, cirs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec_y, axis=1)[:, :n_out]
 
 
-def focus_field(
-    bank: TrFilterBank,
-    ensemble: ChannelEnsemble,
-    noise_snr_db: float | None = None,
-    rng=None,
-) -> SpaceTimeField:
+def focus_field(bank: TrFilterBank, ensemble: ChannelEnsemble) -> SpaceTimeField:
     """Transmit the bank through every probed CIR of the ensemble.
 
     y_x[n] = sum_a (w_a * h_{a,x})[n].  With perfect CSI for target x0 the
     sample at the focusing instant L-1 is sqrt(E_tx * sum_a ||h_{a,x0}||^2),
-    real and positive.  If noise_snr_db is given, complex AWGN is added at
-    that SNR relative to the spatial-peak power.
+    real and positive.
     """
     if bank.filter_length != ensemble.cir_length:
         raise DimensionMismatchError("filter length differs from CIR length")
     if bank.n_tx != ensemble.n_tx:
         raise DimensionMismatchError("antenna counts differ")
-    field = _bank_through_channel(bank, ensemble.cirs)
-    if noise_snr_db is not None:
-        if rng is None:
-            raise ParameterError("noise injection requires an rng")
-        gen = np.random.default_rng(rng)
-        peak_power = float(np.max(np.abs(field) ** 2))
-        sigma2 = peak_power * 10.0 ** (-noise_snr_db / 10.0)
-        noise = gen.standard_normal(field.shape) + 1j * gen.standard_normal(field.shape)
-        field = field + np.sqrt(sigma2 / 2.0) * noise
     return SpaceTimeField(
-        field=field,
+        field=_bank_through_channel(bank, ensemble.cirs),
         positions_m=ensemble.grid.positions_m,
         peak_index=bank.filter_length - 1,
         sample_rate_hz=ensemble.sample_rate_hz,
@@ -148,49 +132,3 @@ def trdma_link(
         sample_rate_hz=ensemble.sample_rate_hz,
     )
 
-
-def ook_link(
-    bank: TrFilterBank,
-    ensemble: ChannelEnsemble,
-    target: int,
-    snr_db: float,
-    n_symbols: int,
-    symbol_period_samples: int,
-    rng,
-) -> float:
-    """Empirical BER of ON/OFF keying with a single-tap energy receiver.
-
-    Each symbol scales the TR bank; the receiver samples
-    |y[L-1 + k*symbol_period]|^2 and thresholds at half the noiseless ON
-    level.  Noise is complex AWGN at snr_db relative to the noiseless
-    focusing-peak power.
-    """
-    if n_symbols < 100:
-        raise ParameterError("n_symbols must be at least 100")
-    if symbol_period_samples < 1:
-        raise ParameterError("symbol_period_samples must be >= 1")
-    n_rx = len(ensemble.grid)
-    if not 0 <= int(target) < n_rx:
-        raise InvalidTargetError(f"target index {target} outside the grid")
-    gen = np.random.default_rng(rng)
-    length = ensemble.cir_length
-    pulse = _bank_through_channel(bank, ensemble.cirs[:, [int(target)], :])[0]
-    peak = pulse[length - 1]
-    on_level = float(np.abs(peak) ** 2)
-
-    bits = gen.integers(0, 2, n_symbols)
-    # Sampled value at instant L-1 + k*T collects pulse[L-1 + (k-j)*T] from
-    # symbol j; build the ISI kernel over the lags that stay in the record.
-    period = int(symbol_period_samples)
-    m_lo = -((length - 1) // period)
-    m_hi = (length - 1) // period
-    lags = np.arange(m_lo, m_hi + 1)
-    kernel = pulse[length - 1 + lags * period]
-    sampled = np.convolve(bits.astype(np.complex128), kernel)[-m_lo : -m_lo + n_symbols]
-
-    sigma2 = on_level * 10.0 ** (-snr_db / 10.0)
-    noise = gen.standard_normal(n_symbols) + 1j * gen.standard_normal(n_symbols)
-    sampled = sampled + np.sqrt(sigma2 / 2.0) * noise
-
-    decided = (np.abs(sampled) ** 2 > on_level / 2.0).astype(np.int64)
-    return float(np.mean(decided != bits))

@@ -1,8 +1,8 @@
 """Sampled-signal primitives shared by the whole simulator.
 
 Everything here works on complex-baseband sequences: chirp generation,
-linear convolution, rational resampling, time reversal and regularized
-(Wiener) deconvolution for channel-impulse-response estimation.  The
+linear convolution and regularized (Wiener) deconvolution for
+channel-impulse-response estimation.  The
 carrier frequency attached to a signal is metadata only; no operation
 up- or down-converts.
 """
@@ -22,9 +22,6 @@ from .errors import (
     ParameterError,
     RateMismatchError,
 )
-
-# Kaiser window beta giving a 60 dB stopband (scipy.signal.kaiser_beta(60)).
-_KAISER_BETA_60DB = 5.65326
 
 
 def _as_readonly_complex(samples) -> np.ndarray:
@@ -153,37 +150,6 @@ def convolve(a: Waveform, b: Waveform) -> Waveform:
     out = scipy.signal.fftconvolve(a.samples, b.samples, mode="full")
     carrier = a.carrier_hz if a.carrier_hz > 0 else b.carrier_hz
     return Waveform(out, a.sample_rate_hz, carrier)
-
-
-def resample_rational(w: Waveform, up: int, down: int) -> Waveform:
-    """Rational-rate resampling by up/down with a polyphase Kaiser FIR.
-
-    The anti-alias/anti-image filter is the scipy polyphase design with a
-    Kaiser window sized for a 60 dB stopband.  Output rate is
-    sample_rate_hz * up / down.
-    """
-    if int(up) != up or int(down) != down:
-        raise ParameterError("up and down must be integers")
-    up, down = int(up), int(down)
-    if up <= 0 or down <= 0:
-        raise ParameterError("up and down must be positive")
-    g = math.gcd(up, down)
-    up //= g
-    down //= g
-    if up == 1 and down == 1:
-        return Waveform(w.samples, w.sample_rate_hz, w.carrier_hz)
-    out = scipy.signal.resample_poly(
-        w.samples, up, down, window=("kaiser", _KAISER_BETA_60DB)
-    )
-    return Waveform(out, w.sample_rate_hz * up / down, w.carrier_hz)
-
-
-def time_reverse_conjugate(w: Waveform) -> Waveform:
-    """Conjugated time flip: out[n] = conj(in[L-1-n]).
-
-    Energy-preserving involution; the DFT magnitude is unchanged.
-    """
-    return Waveform(np.conj(w.samples[::-1]), w.sample_rate_hz, w.carrier_hz)
 
 
 def _deconv_grid(n_received: int) -> int:

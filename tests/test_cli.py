@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,33 @@ class TestRunCommand:
         assert run_cli("run", "--preset", "sub6ghz", "--target", "0.1234",
                        "--trials", "1", "--outdir", tmp_path / "z") == 2
 
+        bad_files = {
+            "no_stop": '{"preset": "subthz", "grid": {"start_m": 0.0, "step_m": 0.0003}}',
+            "str_trials": '{"preset": "subthz", "n_trials": "3"}',
+            "scalar_users": '{"preset": "subthz", "users_m": 0.001}',
+            "not_json": "not json",
+        }
+        bad_args = [("--config", tmp_path / "missing.json")]
+        for name, text in bad_files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            bad_args.append(("--config", path))
+        bad_args += [
+            ("--preset", "subthz", "--seed", "-1"),
+            ("--preset", "subthz", "--users", "0.0"),
+        ]
+        for args in bad_args:
+            assert run_cli("run", *args, "--outdir", tmp_path / "bad") == 2, args
+            assert capsys.readouterr().err.startswith("error:"), args
+        assert not (tmp_path / "bad").exists()
+
+    def test_non_finite_values_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"preset": "subthz", "tx_energy": NaN}')
+        for args in (("--preset", "subthz", "--bandwidth", "nan"), ("--config", cfg)):
+            assert run_cli("run", *args, "--outdir", tmp_path / "bad") == 2, args
+            assert capsys.readouterr().err.startswith("error:"), args
+
     def test_io_failure_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -183,6 +211,17 @@ class TestReproduceCommand:
         positions = np.array([float(r["position_m"]) for r in tr])
         tr_power = np.array([float(r["power_db"]) for r in tr])
         assert abs(positions[np.argmax(tr_power)] - 0.0009) <= 0.0003
+
+    @pytest.mark.parametrize("figure", ["fig2a", "fig4"])
+    def test_thread_count_does_not_change_outputs(self, figure, tmp_path, monkeypatch):
+        out = tmp_path / figure
+        trees = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("TRFOCUS_THREADS", threads)
+            assert run_cli("reproduce", figure, "--outdir", out, "--trials", "3") == 0
+            trees.append(tree_bytes(out))
+            shutil.rmtree(out)
+        assert trees[0] == trees[1]
 
     def test_unknown_figure_rejected_by_parser(self):
         with pytest.raises(SystemExit) as err:

@@ -1,4 +1,4 @@
-"""Tests for field propagation, TRDMA superposition and the OOK receiver."""
+"""Tests for field propagation and TRDMA superposition."""
 
 import math
 
@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from trfocus.channel import CavityParams, ChannelEnsemble, RxGrid, build_ensemble
-from trfocus.errors import (
-    DimensionMismatchError,
-    InvalidTargetError,
-    ParameterError,
-)
-from trfocus.link import focus_field, ook_link, trdma_link
+from trfocus.errors import DimensionMismatchError, InvalidTargetError
+from trfocus.link import focus_field, trdma_link
 from trfocus.precoding import tr_filters
 
 
@@ -79,21 +75,6 @@ class TestFocusField:
         np.testing.assert_allclose(scaled.field, 3.0 * base.field, rtol=1e-12)
         assert np.argmax(np.abs(scaled.field)) == np.argmax(np.abs(base.field))
 
-    def test_noise_injection_is_seeded_and_leveled(self):
-        params = rich_params(n_paths=100)
-        ens = build_ensemble(params, RxGrid(np.array([0.0])), 1, 5)
-        bank = tr_filters(ens.cirs_at(0), 1.0)
-        with pytest.raises(ParameterError):
-            focus_field(bank, ens, noise_snr_db=20.0)
-        a = focus_field(bank, ens, noise_snr_db=20.0, rng=11)
-        b = focus_field(bank, ens, noise_snr_db=20.0, rng=11)
-        np.testing.assert_array_equal(a.field, b.field)
-        clean = focus_field(bank, ens)
-        noise = a.field - clean.field
-        peak = np.max(np.abs(clean.field) ** 2)
-        measured = np.mean(np.abs(noise) ** 2)
-        assert measured == pytest.approx(peak * 1e-2, rel=0.2)
-
     def test_dimension_mismatch(self):
         params = rich_params(n_paths=50)
         ens = build_ensemble(params, RxGrid(np.array([0.0])), 2, 6)
@@ -151,49 +132,3 @@ class TestTrdmaLink:
                 wins += 1
         assert wins >= 0.95 * n_real
 
-
-class TestOokLink:
-    def make_link(self, seed, n_paths=200, n_tx=1):
-        params = rich_params(n_paths=n_paths, bandwidth_hz=0.5e9)
-        ens = build_ensemble(params, RxGrid(np.array([0.0])), n_tx, seed)
-        bank = tr_filters(ens.cirs_at(0), 1.0)
-        return bank, ens
-
-    def test_noise_free_isi_free_is_error_free(self):
-        bank, ens = self.make_link(20)
-        period = 2 * ens.cir_length
-        ber = ook_link(bank, ens, 0, snr_db=60.0, n_symbols=1000,
-                       symbol_period_samples=period, rng=1)
-        assert ber == 0.0
-
-    def test_deep_noise_is_coin_flip(self):
-        bank, ens = self.make_link(21)
-        period = 2 * ens.cir_length
-        ber = ook_link(bank, ens, 0, snr_db=-20.0, n_symbols=10000,
-                       symbol_period_samples=period, rng=2)
-        assert 0.3 <= ber <= 0.7
-
-    def test_ber_monotone_in_snr(self):
-        snrs = (0.0, 5.0, 10.0, 15.0, 20.0)
-        means = []
-        for snr in snrs:
-            bers = []
-            for seed in range(20):
-                bank, ens = self.make_link(100 + seed, n_paths=100)
-                period = 2 * ens.cir_length
-                bers.append(
-                    ook_link(bank, ens, 0, snr_db=snr, n_symbols=2000,
-                             symbol_period_samples=period, rng=seed)
-                )
-            means.append(np.mean(bers))
-        for nxt, prev in zip(means[1:], means[:-1]):
-            assert nxt <= prev + 0.02
-
-    def test_parameter_checks(self):
-        bank, ens = self.make_link(22, n_paths=50)
-        with pytest.raises(ParameterError):
-            ook_link(bank, ens, 0, 10.0, n_symbols=50, symbol_period_samples=8, rng=0)
-        with pytest.raises(ParameterError):
-            ook_link(bank, ens, 0, 10.0, n_symbols=200, symbol_period_samples=0, rng=0)
-        with pytest.raises(InvalidTargetError):
-            ook_link(bank, ens, 5, 10.0, n_symbols=200, symbol_period_samples=8, rng=0)

@@ -16,8 +16,6 @@ from trfocus.signalops import (
     convolve,
     gen_chirp,
     inband_nmse_db,
-    resample_rational,
-    time_reverse_conjugate,
     wiener_deconvolve,
 )
 
@@ -145,78 +143,6 @@ class TestConvolve:
         b = Waveform(np.ones(4), 2.0)
         with pytest.raises(RateMismatchError):
             convolve(a, b)
-
-
-class TestResampleRational:
-    def test_rate_12p5_to_10(self):
-        rng = np.random.default_rng(0)
-        w = random_waveform(rng, 1000, rate=12.5e9)
-        out = resample_rational(w, 4, 5)
-        assert out.sample_rate_hz == pytest.approx(10e9)
-        assert len(out) == 800
-
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        w = random_waveform(rng, 64)
-        out = resample_rational(w, 1, 1)
-        np.testing.assert_array_equal(out.samples, w.samples)
-        out = resample_rational(w, 3, 3)  # gcd-reduced identity
-        np.testing.assert_array_equal(out.samples, w.samples)
-
-    def test_round_trip_nmse(self):
-        # Band-limited tone at 0.1 f_s through 4/5 then 5/4 recovers the
-        # interior to better than -50 dB.
-        n = 4096
-        t = np.arange(n)
-        x = np.exp(2j * np.pi * 0.1 * t)
-        w = Waveform(x, 1.0)
-        down = resample_rational(w, 4, 5)
-        back = resample_rational(down, 5, 4)
-        m = min(len(back), n)
-        cut = 80
-        assert nmse_db(back.samples[cut : m - cut], x[cut : m - cut]) < -50
-
-    def test_image_suppression_60db(self):
-        n = 4096
-        x = np.exp(2j * np.pi * 0.1 * np.arange(n))
-        out = resample_rational(Waveform(x, 1.0), 5, 4)
-        taper = np.hanning(len(out))
-        spec = np.abs(np.fft.fft(out.samples * taper))
-        freqs = np.fft.fftfreq(len(out), d=0.8)
-        spur = spec[np.abs(freqs - 0.1) > 0.02].max()
-        assert 20 * np.log10(spur / spec.max()) < -60
-
-    def test_errors(self):
-        w = Waveform(np.ones(8), 1.0)
-        with pytest.raises(ParameterError):
-            resample_rational(w, 0, 5)
-        with pytest.raises(ParameterError):
-            resample_rational(w, 5, 0)
-
-
-class TestTimeReverseConjugate:
-    def test_involution_bit_exact(self):
-        rng = np.random.default_rng(5)
-        w = random_waveform(rng, 99)
-        twice = time_reverse_conjugate(time_reverse_conjugate(w))
-        np.testing.assert_array_equal(twice.samples, w.samples)
-
-    def test_real_symmetric_fixed_point(self):
-        x = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
-        out = time_reverse_conjugate(Waveform(x, 1.0))
-        np.testing.assert_array_equal(out.samples, x.astype(complex))
-
-    def test_energy_preserved_exactly(self):
-        rng = np.random.default_rng(6)
-        w = random_waveform(rng, 50)
-        assert time_reverse_conjugate(w).energy == w.energy
-
-    def test_dft_magnitude_preserved(self):
-        rng = np.random.default_rng(8)
-        w = random_waveform(rng, 73)
-        mag_in = np.abs(np.fft.fft(w.samples))
-        mag_out = np.abs(np.fft.fft(time_reverse_conjugate(w).samples))
-        assert np.max(np.abs(mag_in - mag_out)) < 1e-12 * mag_in.max()
 
 
 class TestWienerDeconvolve:

@@ -232,24 +232,53 @@ def _sinc_mix(coeff: np.ndarray, centers: np.ndarray, length: int, oversample: i
     Exact band-limited interpolation evaluated per polyphase branch
     n = oversample*q + r using
     sinc(q - mu) = -(-1)^q (-1)^k sin(pi*frac) / (pi*(q - mu)),
-    mu = k + frac, so the only per-element work is one division.
+    mu = k + frac, so each branch is one Cauchy sum
+    row[q] = sum_p w_p / (q - mu_p) over a single (P, Q) buffer:
+
+    - q - mu is written into the buffer as the rank-2 product
+      [1, -mu] @ [q; 1]; every product is by 1, so the one rounded sum
+      equals q - mu bit for bit, and BLAS writes it faster than a
+      broadcast subtraction;
+    - the buffer is inverted in place and one real GEMM of the stacked
+      [w.real; w.imag] weights gives the real and imaginary rows;
+    - a path with |frac| < 1e-8 whose tap k lies in the branch gets an
+      infinite denominator at k (reciprocal 0), and its exact
+      coeff * sinc(k - mu) is added to tap k instead.
+
+    The per-path factors of all branches are computed at once.  The GEMM
+    sums in OpenBLAS's order, so the taps agree with a per-path sum to
+    rounding, not bit for bit; that order does not depend on the BLAS
+    thread count.
     """
     out = np.empty(length, dtype=np.complex128)
+    n_paths = centers.size
+    n_rows = -(-length // oversample)  # taps of branch 0, the longest
+    mu = (centers - np.arange(oversample)[:, None]) / oversample  # (branch, path)
+    k = np.rint(mu)
+    frac = mu - k
+    sign = 1.0 - 2.0 * (k.astype(np.int64) & 1)
+    w = coeff * (sign * np.sin(np.pi * frac))
+    weights = np.stack((w.real, w.imag), axis=1)  # (branch, 2, path)
+    on_tap = np.abs(frac) < 1e-8
+    lhs = np.ones((n_paths, 2))
+    rhs = np.ones((2, n_rows))
+    rhs[0] = np.arange(n_rows)
+    alternating = (2.0 * (np.arange(n_rows) & 1) - 1.0) / np.pi  # -(-1)^q / pi
+    buf = np.empty(n_paths * n_rows)
     for r in range(oversample):
-        q = np.arange((length - r + oversample - 1) // oversample)
-        mu = (centers - r) / oversample
-        k = np.rint(mu)
-        frac = mu - k
-        sign = 1.0 - 2.0 * (k.astype(np.int64) & 1)
-        w = coeff * (sign * np.sin(np.pi * frac))
-        diff = q[None, :] - mu[:, None]
-        near = np.abs(diff) < 1e-8
-        recip = np.divide(1.0, diff, out=np.zeros_like(diff), where=~near)
-        row = (w.real @ recip) + 1j * (w.imag @ recip)
-        row *= (2.0 * (q & 1) - 1.0) / np.pi  # -(-1)^q / pi
-        if near.any():
-            rows, cols = np.nonzero(near)
-            np.add.at(row, cols, coeff[rows] * np.sinc(diff[rows, cols]))
+        n_q = (length - r + oversample - 1) // oversample
+        recip = buf[: n_paths * n_q].reshape(n_paths, n_q)
+        np.negative(mu[r], out=lhs[:, 1])
+        np.matmul(lhs, rhs[:, :n_q], out=recip)  # q - mu
+        near = np.flatnonzero(on_tap[r] & (k[r] >= 0) & (k[r] < n_q))
+        taps = k[r, near].astype(np.int64)
+        recip[near, taps] = np.inf
+        np.reciprocal(recip, out=recip)
+        re_im = weights[r] @ recip
+        row = re_im[0] + 1j * re_im[1]
+        row *= alternating[:n_q]
+        if near.size:
+            np.add.at(row, taps, coeff[near] * np.sinc(taps - mu[r, near]))
         out[r::oversample] = row
     return out
 
@@ -405,36 +434,52 @@ def save_ensemble(ensemble: ChannelEnsemble, path, mode: str = "text") -> None:
 
 
 def load_ensemble(path) -> ChannelEnsemble:
-    """Inverse of :func:`save_ensemble`."""
+    """Inverse of :func:`save_ensemble`.
+
+    A malformed header or a body that does not hold n_tx * n_rx *
+    cir_length taps raises ParameterError.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("format") != _FORMAT_NAME:
-            raise ParameterError(f"{path} is not a {_FORMAT_NAME} file")
         body = fh.read()
-    p = header["params"]
-    params = CavityParams(
-        carrier_hz=p["carrier_hz"],
-        bandwidth_hz=p["bandwidth_hz"],
-        decay_time_s=p["decay_time_s"],
-        max_delay_s=p["max_delay_s"],
-        aperture_half_angle_rad=p["aperture_half_angle_rad"],
-        n_paths=p["n_paths"],
-        oversample=p["oversample"],
-    )
-    grid = RxGrid(
-        positions_m=np.array(header["grid"]["positions_m"], dtype=np.float64),
-        axis=np.array(header["grid"]["axis"], dtype=np.float64),
-    )
-    shape = (header["n_tx"], header["n_rx"], header["cir_length"])
-    if header["mode"] == "text":
-        rows = []
-        for line in body.decode("utf-8").splitlines():
-            vals = np.array([float(tok) for tok in line.split()], dtype=np.float64)
-            rows.append(vals[0::2] + 1j * vals[1::2])
-        cirs = np.array(rows, dtype=np.complex128).reshape(shape)
-    else:
-        cirs = np.frombuffer(body, dtype="<c16").reshape(shape).astype(np.complex128)
-    return ChannelEnsemble(
-        cirs=cirs, params=params, grid=grid, n_tx=header["n_tx"], seed=header["seed"]
-    )
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ParameterError(f"{path}: header is not JSON") from exc
+    if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
+        raise ParameterError(f"{path} is not a {_FORMAT_NAME} file")
+    try:
+        p = header["params"]
+        params = CavityParams(
+            carrier_hz=p["carrier_hz"],
+            bandwidth_hz=p["bandwidth_hz"],
+            decay_time_s=p["decay_time_s"],
+            max_delay_s=p["max_delay_s"],
+            aperture_half_angle_rad=p["aperture_half_angle_rad"],
+            n_paths=p["n_paths"],
+            oversample=p["oversample"],
+        )
+        grid = RxGrid(
+            positions_m=np.array(header["grid"]["positions_m"], dtype=np.float64),
+            axis=np.array(header["grid"]["axis"], dtype=np.float64),
+        )
+        shape = (int(header["n_tx"]), int(header["n_rx"]), int(header["cir_length"]))
+        mode, seed = header["mode"], header["seed"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: malformed header ({exc!r})") from exc
+    if mode not in ("text", "binary"):
+        raise ParameterError(f"{path}: unknown mode {mode!r}")
+    try:
+        if mode == "text":
+            rows = []
+            for line in body.decode("utf-8").splitlines():
+                vals = np.array([float(tok) for tok in line.split()], dtype=np.float64)
+                rows.append(vals[0::2] + 1j * vals[1::2])
+            cirs = np.array(rows, dtype=np.complex128).reshape(shape)
+        else:
+            cirs = np.frombuffer(body, dtype="<c16").reshape(shape).astype(np.complex128)
+    except ValueError as exc:
+        raise ParameterError(
+            f"{path}: body does not hold {shape[0]}x{shape[1]}x{shape[2]} taps"
+        ) from exc
+    return ChannelEnsemble(cirs=cirs, params=params, grid=grid, n_tx=shape[0], seed=seed)

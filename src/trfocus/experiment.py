@@ -27,7 +27,7 @@ from .channel import (
     RxGrid,
     build_ensemble,
 )
-from .errors import ConfigError, EdgePeakError, DegenerateBackgroundError
+from .errors import ConfigError, DegenerateBackgroundError, EdgePeakError, ParameterError
 from .link import focus_field, trdma_link
 from .metrics import (
     FocusingReport,
@@ -127,13 +127,17 @@ def _grid_positions(start_m: float, stop_m: float, step_m: float) -> np.ndarray:
 
 
 def thread_count() -> int:
-    """Worker count for trial-level parallelism, capped by TRFOCUS_THREADS."""
+    """Worker count for trial-level parallelism: TRFOCUS_THREADS, an
+    integer >= 1, when set; otherwise the CPU count, at most 4."""
     cap = os.environ.get(THREADS_ENV_VAR)
     if cap is not None:
         try:
-            return max(1, int(cap))
+            workers = int(cap)
         except ValueError as exc:
             raise ConfigError(f"{THREADS_ENV_VAR} must be an integer") from exc
+        if workers < 1:
+            raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {workers}")
+        return workers
     return min(4, os.cpu_count() or 1)
 
 
@@ -251,6 +255,8 @@ def sound_cirs(
     is deconvolved against the probe.  The regularizer is the per-bin
     noise power, or the noiseless default when sounding_snr_db is None.
     """
+    if sounding_snr_db is not None and not math.isfinite(sounding_snr_db):
+        raise ParameterError("sounding_snr_db must be finite; None means noiseless")
     params = ensemble.params
     probe = gen_chirp(
         params.bandwidth_hz,
@@ -264,7 +270,7 @@ def sound_cirs(
         cir = ensemble.cir(a, rx_index)
         rx = convolve(probe, Waveform(cir.taps, cir.sample_rate_hz, cir.carrier_hz))
         epsilon = None
-        if sounding_snr_db is not None and math.isfinite(sounding_snr_db):
+        if sounding_snr_db is not None:
             power = float(np.mean(np.abs(rx.samples) ** 2))
             sigma2 = power * 10.0 ** (-sounding_snr_db / 10.0)
             noise = gen.standard_normal(len(rx)) + 1j * gen.standard_normal(len(rx))
@@ -305,12 +311,16 @@ class TrialOutput:
     peak_time_s: float
 
 
-def run_trial(config: ScenarioConfig, trial: int, seed_seq: np.random.SeedSequence) -> TrialOutput:
-    """One seeded realization: channel, (optional) sounding, TR, metrics."""
-    channel_seq, sounding_seq = seed_seq.spawn(2)
-    ensemble = build_ensemble(
-        config.cavity, config.grid, config.n_tx, np.random.default_rng(channel_seq)
-    )
+def _measure_target(
+    config: ScenarioConfig,
+    trial: int,
+    ensemble: ChannelEnsemble,
+    sounding_seq: np.random.SeedSequence,
+) -> TrialOutput:
+    """(Optional) sounding, TR and metrics at the config's target over one
+    trial's ensemble.  The sounding noise comes from a fresh
+    default_rng(sounding_seq), so every target measured on a shared
+    ensemble sees the stream it would see in a campaign of its own."""
     sounding_rng = np.random.default_rng(sounding_seq)
     target = config.target_index
     bank = _bank_for_target(config, ensemble, target, sounding_rng)
@@ -375,6 +385,22 @@ def run_trial(config: ScenarioConfig, trial: int, seed_seq: np.random.SeedSequen
     )
 
 
+def run_trial(
+    configs: Sequence[ScenarioConfig], trial: int, seed_seq: np.random.SeedSequence
+) -> list[TrialOutput]:
+    """One seeded realization measured at the target of each config.
+
+    The configs share cavity, grid and n_tx, so the channel ensemble is
+    drawn once, from child 0 of seed_seq; child 1 seeds the sounding.
+    """
+    channel_seq, sounding_seq = seed_seq.spawn(2)
+    first = configs[0]
+    ensemble = build_ensemble(
+        first.cavity, first.grid, first.n_tx, np.random.default_rng(channel_seq)
+    )
+    return [_measure_target(c, trial, ensemble, sounding_seq) for c in configs]
+
+
 def map_trials(
     config: ScenarioConfig, fn: Callable[[int, np.random.SeedSequence], object]
 ) -> list:
@@ -393,7 +419,8 @@ def map_trials(
 
 def run_trials(config: ScenarioConfig) -> list[TrialOutput]:
     """All trials of a campaign, trial-parallel, deterministic ordering."""
-    return map_trials(config, lambda t, seed_seq: run_trial(config, t, seed_seq))
+    runs = map_trials(config, lambda t, seed_seq: run_trial((config,), t, seed_seq))
+    return [outputs[0] for outputs in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +642,21 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
 
     else:  # fig4
         n_trials = trials if trials is not None else 50
-        for label, target in (("neg", -0.0009), ("pos", 0.0009)):
-            config = config_from_preset(
+        configs = [
+            config_from_preset(
                 "subthz",
                 target_m=target,
                 n_trials=n_trials,
                 seed=seed,
                 outdir=str(out / f"fig4_tr_{label}"),
             )
-            run_experiment(config)
+            for label, target in (("neg", -0.0009), ("pos", 0.0009))
+        ]
+        # Both targets are measured on each trial's one ensemble; each
+        # output set equals a run_experiment of its config alone.
+        runs = map_trials(configs[0], lambda t, seed_seq: run_trial(configs, t, seed_seq))
+        for i, config in enumerate(configs):
+            write_outputs(config, [outputs[i] for outputs in runs], config.outdir)
             manifest["files"].append(str(Path(config.outdir) / "spatial_mean.csv"))
         baseline_cfg = config_from_preset(
             "subthz", target_m=0.0, n_trials=n_trials, seed=seed, outdir=str(out)

@@ -116,6 +116,33 @@ class TestSynthesizeCir:
         slow = naive_taps(paths, x, params, axis, length)
         assert np.linalg.norm(fast - slow) < 1e-12 * np.linalg.norm(slow)
 
+    @pytest.mark.parametrize("oversample", [1, 3, 4])
+    def test_edge_cases_match_naive_double_loop(self, oversample):
+        # f_s = 2**30 Hz exactly, so a delay n / f_s lands exactly on tap n.
+        params = small_params(bandwidth_hz=2.0**30 / oversample, oversample=oversample)
+        fs = params.sample_rate_hz
+        length = 23 if oversample == 1 else 4 * oversample + 1  # not a multiple
+        on_grid = np.array([0.0, 2.0, 5.0, 11.0, 12.0])
+        tiny_frac = np.array([3.0 + 1e-10, 7.0 - 3e-9, 9.0 + 5e-11])
+        past_end = np.array([length + 2.0, length - 0.7, length + 0.5e-9])
+        generic = np.array([1.37, 6.5, 10.81])
+        centers = np.concatenate([on_grid, tiny_frac, past_end, generic])
+        delays = centers / fs
+        assert np.array_equal(delays[:5] * fs, on_grid)
+        # Half the paths arrive along the grid axis and move with the
+        # receiver by x / c; the others arrive broadside and stay put.
+        axis = np.array([1.0, 0.0, 0.0])
+        along = np.arange(centers.size) % 2 == 0
+        directions = np.where(along[:, None], axis, np.array([0.0, 0.0, 1.0]))
+        amps = np.exp(1j * np.arange(centers.size)) * (1.0 + 0.1 * np.arange(centers.size))
+        paths = PathSet(delays, directions, amps)
+        # Shifts of whole and fractional taps, pushing k below 0 and past Q.
+        for shift_taps in (0.0, -3.0, 4.0, -0.25, 2.0 + 1e-10):
+            x = shift_taps * C / fs
+            fast = synthesize_cir(paths, x, params, axis=axis, length=length).taps
+            slow = naive_taps(paths, x, params, axis, length)
+            assert np.linalg.norm(fast - slow) < 1e-12 * np.linalg.norm(slow), shift_taps
+
     def test_on_grid_path_gives_kronecker_delta(self):
         # One path exactly on the tap grid at oversample 1: single tap,
         # neighbors land on exact sinc zeros.
@@ -302,6 +329,34 @@ class TestEnsembleExport:
         save_ensemble(ens, path, mode="binary")
         back = load_ensemble(path)
         np.testing.assert_array_equal(back.cirs, ens.cirs)
+
+    def test_header_missing_keys_raises_parameter_error(self, tmp_path):
+        path = tmp_path / "ensemble.txt"
+        path.write_text('{"format": "trfocus-ensemble"}\n')
+        with pytest.raises(ParameterError, match="malformed header"):
+            load_ensemble(path)
+
+    def test_unknown_mode_raises_parameter_error(self, tmp_path):
+        import json
+
+        path = tmp_path / "ensemble.bin"
+        save_ensemble(self.make_small(), path, mode="binary")
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["mode"] = "hdf5"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ParameterError, match="unknown mode"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_wrong_body_size_raises_parameter_error(self, tmp_path, mode):
+        path = tmp_path / "ensemble"
+        save_ensemble(self.make_small(), path, mode=mode)
+        data = path.read_bytes()
+        cut = data.rindex(b"\n", 0, len(data) - 1) if mode == "text" else len(data) - 16
+        path.write_bytes(data[:cut])
+        with pytest.raises(ParameterError, match="body does not hold"):
+            load_ensemble(path)
 
     def test_header_is_json_first_line(self, tmp_path):
         import json

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trfocus
 from trfocus.cli import main
+from trfocus.experiment import config_from_preset, run_experiment
 
 SUMMARY_KEYS = {
     "fc_hz",
@@ -163,6 +166,34 @@ class TestRunCommand:
             assert run_cli("run", *args, "--outdir", tmp_path / "bad") == 2, args
             assert capsys.readouterr().err.startswith("error:"), args
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_thread_count_exits_2(self, threads, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TRFOCUS_THREADS", threads)
+        code = run_cli("run", "--preset", "subthz", "--trials", "2",
+                       "--outdir", tmp_path / "bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: TRFOCUS_THREADS") and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_blas_thread_count_does_not_change_outputs(self, tmp_path):
+        # OpenBLAS reads its thread count at load time, so each count
+        # needs its own interpreter.
+        src = str(Path(trfocus.__file__).resolve().parents[1])
+        trees = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "trfocus", "run", "--preset", "subthz",
+                 "--trials", "2", "--outdir", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees.append(tree_bytes(out))
+        assert trees[0] and trees[0] == trees[1]
+
     def test_io_failure_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -211,6 +242,19 @@ class TestReproduceCommand:
         positions = np.array([float(r["position_m"]) for r in tr])
         tr_power = np.array([float(r["power_db"]) for r in tr])
         assert abs(positions[np.argmax(tr_power)] - 0.0009) <= 0.0003
+
+    def test_fig4_shared_ensemble_matches_separate_runs(self, tmp_path):
+        # fig4 measures both targets on one ensemble per trial; each output
+        # set must equal a campaign of its own config.
+        out = tmp_path / "f4"
+        assert run_cli("reproduce", "fig4", "--outdir", out, "--seed", "4",
+                       "--trials", "3") == 0
+        for label, target in (("neg", -0.0009), ("pos", 0.0009)):
+            alone = tmp_path / f"alone_{label}"
+            run_experiment(config_from_preset(
+                "subthz", target_m=target, n_trials=3, seed=4, outdir=str(alone)))
+            shared = tree_bytes(out / f"fig4_tr_{label}")
+            assert shared and shared == tree_bytes(alone), label
 
     @pytest.mark.parametrize("figure", ["fig2a", "fig4"])
     def test_thread_count_does_not_change_outputs(self, figure, tmp_path, monkeypatch):

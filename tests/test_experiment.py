@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trfocus.channel import RxGrid, build_ensemble
-from trfocus.errors import ConfigError
+from trfocus.errors import ConfigError, ParameterError
 from trfocus.experiment import (
     PRESETS,
     ScenarioConfig,
@@ -79,9 +79,10 @@ class TestScenarioConfig:
     def test_thread_count_env(self, monkeypatch):
         monkeypatch.setenv("TRFOCUS_THREADS", "2")
         assert thread_count() == 2
-        monkeypatch.setenv("TRFOCUS_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            thread_count()
+        for bad in ("zero", "0", "-3"):
+            monkeypatch.setenv("TRFOCUS_THREADS", bad)
+            with pytest.raises(ConfigError):
+                thread_count()
 
 
 class TestSounding:
@@ -116,6 +117,13 @@ class TestSounding:
                 config.cavity.sample_rate_hz,
             )
             assert nmse < -15.0
+
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snr_rejected(self, snr_db):
+        config = self.small_config()
+        ens = build_ensemble(config.cavity, config.grid, config.n_tx, 3)
+        with pytest.raises(ParameterError, match="None means noiseless"):
+            sound_cirs(ens, 1, 1e-6, snr_db, np.random.default_rng(0))
 
     def test_sounded_trial_still_focuses(self):
         config = self.small_config(csi_mode="sounded", sounding_snr_db=30.0)

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j1 as _bessel_j1
+import scipy.fft
 
 from .errors import DimensionMismatchError, ParameterError
 from .signalops import Cir
@@ -39,6 +39,10 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 # Extra taps appended past max_delay_s so truncated sinc tails keep the
 # per-antenna energy normalization within a percent.
 _TAIL_GUARD_OVERSAMPLES = 8
+
+# Largest ensemble a run may hold: n_tx * n_rx * (L + nfft) complex values,
+# 16 bytes each, for the CIRs and their cached spectrum.
+ENSEMBLE_BUDGET_BYTES = 1 << 30
 
 
 def _unit3(v) -> np.ndarray:
@@ -150,6 +154,23 @@ class RxGrid:
         return b / np.linalg.norm(b)
 
 
+def _spectrum_length(cir_length: int) -> int:
+    """FFT length of an ensemble's spectrum: room for the 2L-1 samples of a
+    CIR convolved with an L-tap filter, rounded up to a fast size."""
+    return scipy.fft.next_fast_len(2 * cir_length - 1)
+
+
+def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
+    """Raise ParameterError when the CIRs and the spectrum of an ensemble
+    would exceed ENSEMBLE_BUDGET_BYTES."""
+    n_bytes = 16 * n_tx * n_rx * (cir_length + _spectrum_length(cir_length))
+    if n_bytes > ENSEMBLE_BUDGET_BYTES:
+        raise ParameterError(
+            f"an ensemble of {n_tx} x {n_rx} CIRs of {cir_length} taps needs "
+            f"{n_bytes / 2**30:.1f} GiB, over the {ENSEMBLE_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+
+
 @dataclass(frozen=True)
 class ChannelEnsemble:
     """CIRs indexed by (tx antenna, rx grid position) for one realization."""
@@ -159,6 +180,7 @@ class ChannelEnsemble:
     grid: RxGrid
     n_tx: int
     seed: int | None = None
+    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.cirs, dtype=np.complex128)
@@ -177,6 +199,19 @@ class ChannelEnsemble:
     @property
     def sample_rate_hz(self) -> float:
         return self.params.sample_rate_hz
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Read-only fft(cirs, next_fast_len(2L-1), axis=2), computed on
+        first use and shared by every bank propagated through this ensemble.
+
+        Two threads that race on the first access both compute the same
+        array; no lock is held across instances."""
+        if self._spectrum is None:
+            spec = np.fft.fft(self.cirs, _spectrum_length(self.cir_length), axis=2)
+            spec.setflags(write=False)
+            object.__setattr__(self, "_spectrum", spec)
+        return self._spectrum
 
     def cir(self, tx: int, rx: int) -> Cir:
         return Cir(self.cirs[tx, rx], self.sample_rate_hz, self.params.carrier_hz)
@@ -330,10 +365,11 @@ def build_ensemble(
     """
     if n_tx < 1:
         raise ParameterError("n_tx must be a positive integer")
+    length = params.cir_length
+    check_ensemble_size(n_tx, len(grid), length)
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     gen = np.random.default_rng(rng)
     boresight = grid.boresight()
-    length = params.cir_length
     cirs = np.empty((n_tx, len(grid), length), dtype=np.complex128)
     for a in range(n_tx):
         paths = draw_paths(params, gen, boresight)
@@ -366,6 +402,8 @@ def spatial_correlation_theory(
     if theta_m >= math.pi - 1e-12:
         return math.sin(z) / z
     if theta_m < math.pi / 2:
+        from scipy.special import j1 as _bessel_j1
+
         v = z * math.sin(theta_m)
         return float(2.0 * _bessel_j1(v) / v)
     # Exact cap average, Gauss-Legendre on theta in [0, theta_m].
@@ -469,6 +507,7 @@ def load_ensemble(path) -> ChannelEnsemble:
         raise ParameterError(f"{path}: malformed header ({exc!r})") from exc
     if mode not in ("text", "binary"):
         raise ParameterError(f"{path}: unknown mode {mode!r}")
+    check_ensemble_size(*shape)
     try:
         if mode == "text":
             rows = []

@@ -19,15 +19,24 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from .channel import (
+    ENSEMBLE_BUDGET_BYTES,
     CavityParams,
     ChannelEnsemble,
     RxGrid,
     build_ensemble,
+    check_ensemble_size,
 )
-from .errors import ConfigError, DegenerateBackgroundError, EdgePeakError, ParameterError
+from .errors import (
+    ConfigError,
+    DegenerateBackgroundError,
+    DegenerateProbeError,
+    EdgePeakError,
+    IllConditionedError,
+    ParameterError,
+)
 from .link import focus_field, trdma_link
 from .metrics import (
     FocusingReport,
@@ -38,9 +47,13 @@ from .metrics import (
     temporal_fwhm,
 )
 from .precoding import TrFilterBank, tr_filters
-from .signalops import Cir, Waveform, convolve, gen_chirp, wiener_deconvolve
+from .signalops import Cir, _deconv_grid, gen_chirp
 
 THREADS_ENV_VAR = "TRFOCUS_THREADS"
+
+# Most trials one campaign may run; every trial's profiles stay in memory
+# until the output files are written.
+MAX_TRIALS = 100_000
 
 # Delay-window and decay sizing shared by all presets, in units of 1/B:
 # the window holds 72 resolvable taps and the power decay constant 64.
@@ -123,6 +136,9 @@ def _grid_positions(start_m: float, stop_m: float, step_m: float) -> np.ndarray:
     if stop_m < start_m:
         raise ConfigError("grid stop must not precede start")
     n = int(math.floor((stop_m - start_m) / step_m + 0.5)) + 1
+    # Each point holds at least one tap and one spectrum bin of 16 bytes.
+    if n > ENSEMBLE_BUDGET_BYTES // 32:
+        raise ConfigError(f"a grid of {n} points exceeds the ensemble memory budget")
     return np.round(start_m + step_m * np.arange(n), 12)
 
 
@@ -161,10 +177,11 @@ class ScenarioConfig:
     outdir: str = "trfocus_out"
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ConfigError("n_trials must be >= 1")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            raise ConfigError(f"n_trials must lie in [1, {MAX_TRIALS}]")
         if self.n_tx < 1:
             raise ConfigError("n_tx must be >= 1")
+        check_ensemble_size(self.n_tx, len(self.grid), self.cavity.cir_length)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.csi_mode not in ("perfect", "sounded"):
@@ -254,6 +271,13 @@ def sound_cirs(
     cavity bandwidth; the record (plus AWGN at the sounding SNR, if any)
     is deconvolved against the probe.  The regularizer is the per-bin
     noise power, or the noiseless default when sounding_snr_db is None.
+
+    All antennas are sounded at once in the frequency domain, on the
+    power-of-two grid of wiener_deconvolve: the record spectrum is
+    S*H + FFT(noise), its power comes from Parseval, and one Wiener
+    division and one inverse FFT give every estimate.  The result equals
+    convolve, AWGN and wiener_deconvolve per antenna to rounding; the
+    noise is drawn in the same order (per antenna, real then imaginary).
     """
     if sounding_snr_db is not None and not math.isfinite(sounding_snr_db):
         raise ParameterError("sounding_snr_db must be finite; None means noiseless")
@@ -264,26 +288,31 @@ def sound_cirs(
         params.sample_rate_hz,
         params.carrier_hz,
     )
-    gen = np.random.default_rng(rng)
-    estimates = []
-    for a in range(ensemble.n_tx):
-        cir = ensemble.cir(a, rx_index)
-        rx = convolve(probe, Waveform(cir.taps, cir.sample_rate_hz, cir.carrier_hz))
-        epsilon = None
-        if sounding_snr_db is not None:
-            power = float(np.mean(np.abs(rx.samples) ** 2))
-            sigma2 = power * 10.0 ** (-sounding_snr_db / 10.0)
-            noise = gen.standard_normal(len(rx)) + 1j * gen.standard_normal(len(rx))
-            rx = Waveform(
-                rx.samples + np.sqrt(sigma2 / 2.0) * noise,
-                rx.sample_rate_hz,
-                rx.carrier_hz,
-            )
-            epsilon = sigma2 * len(rx)
-        estimates.append(
-            wiener_deconvolve(rx, probe, epsilon, cir_length=ensemble.cir_length)
+    if np.max(np.abs(probe.samples)) == 0.0:
+        raise DegenerateProbeError("probe is identically zero")
+    n_record = len(probe) + ensemble.cir_length - 1
+    nfft = _deconv_grid(n_record)
+    spec_probe = np.fft.fft(probe.samples, nfft)
+    mags = np.abs(spec_probe)
+    probe_power = mags**2
+    spec_rx = spec_probe * np.fft.fft(ensemble.cirs[:, rx_index], nfft, axis=1)
+    if sounding_snr_db is None:
+        epsilon = 1e-6 * float(probe_power.max())
+    else:
+        record_power = np.sum(np.abs(spec_rx) ** 2, axis=1, keepdims=True) / (nfft * n_record)
+        sigma2 = record_power * 10.0 ** (-sounding_snr_db / 10.0)
+        noise = np.random.default_rng(rng).standard_normal((ensemble.n_tx, 2, n_record))
+        spec_rx += np.fft.fft(
+            np.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1]), nfft, axis=1
         )
-    return estimates
+        epsilon = sigma2 * n_record
+        if np.any(epsilon == 0.0) and mags.min() < 1e-12 * mags.max():
+            raise IllConditionedError("epsilon = 0 with near-zero probe spectrum bins")
+    est = np.fft.ifft(spec_rx * np.conj(spec_probe) / (probe_power + epsilon), axis=1)
+    return [
+        Cir(taps, params.sample_rate_hz, params.carrier_hz)
+        for taps in est[:, : ensemble.cir_length]
+    ]
 
 
 def _bank_for_target(
@@ -568,11 +597,13 @@ def _no_tr_mean_profile(config: ScenarioConfig) -> np.ndarray:
         params.carrier_hz,
     )
     filt = probe.samples * math.sqrt(config.tx_energy / probe.energy)
+    n_out = params.cir_length + filt.size - 1
+    nfft = scipy.fft.next_fast_len(n_out)
+    spec_filt = np.fft.fft(filt, nfft)
 
     def power(ensemble: ChannelEnsemble) -> np.ndarray:
-        rows = scipy.signal.fftconvolve(ensemble.cirs[0], filt[None, :], axes=1)
-        for a in range(1, config.n_tx):
-            rows += scipy.signal.fftconvolve(ensemble.cirs[a], filt[None, :], axes=1)
+        spec = np.fft.fft(ensemble.cirs, nfft, axis=2) * spec_filt
+        rows = np.fft.ifft(spec, axis=2)[:, :, :n_out].sum(axis=0)
         return np.mean(np.abs(rows) ** 2, axis=1)
 
     return _mean_profile(config, power)

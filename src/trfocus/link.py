@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 
 from .channel import ChannelEnsemble
 from .errors import DimensionMismatchError, InvalidTargetError, ParameterError
@@ -60,17 +59,15 @@ class TrdmaResult:
         return self.per_user_rx.shape[0]
 
 
-def _bank_through_channel(bank: TrFilterBank, cirs: np.ndarray) -> np.ndarray:
+def _bank_through_channel(bank: TrFilterBank, spectrum: np.ndarray) -> np.ndarray:
     """sum_a w_a * h_{a,x} for every position x; rows of length 2L-1.
 
-    cirs has shape (n_tx, n_rx, L); the filters share the same L.
+    spectrum is fft(h, nfft, axis=2) of CIRs of shape (n_tx, n_rx, L),
+    with nfft >= 2L-1 (ChannelEnsemble.spectrum); the filters share L.
     """
-    length = bank.filter_length
-    n_out = 2 * length - 1
-    nfft = scipy.fft.next_fast_len(n_out)
-    spec_w = np.fft.fft(bank.filters, nfft, axis=1)  # (n_tx, nfft)
-    spec_h = np.fft.fft(cirs, nfft, axis=2)  # (n_tx, n_rx, nfft)
-    spec_y = np.einsum("af,arf->rf", spec_w, spec_h)
+    n_out = 2 * bank.filter_length - 1
+    spec_w = np.fft.fft(bank.filters, spectrum.shape[2], axis=1)  # (n_tx, nfft)
+    spec_y = np.einsum("af,arf->rf", spec_w, spectrum)
     return np.fft.ifft(spec_y, axis=1)[:, :n_out]
 
 
@@ -86,7 +83,7 @@ def focus_field(bank: TrFilterBank, ensemble: ChannelEnsemble) -> SpaceTimeField
     if bank.n_tx != ensemble.n_tx:
         raise DimensionMismatchError("antenna counts differ")
     return SpaceTimeField(
-        field=_bank_through_channel(bank, ensemble.cirs),
+        field=_bank_through_channel(bank, ensemble.spectrum),
         positions_m=ensemble.grid.positions_m,
         peak_index=bank.filter_length - 1,
         sample_rate_hz=ensemble.sample_rate_hz,
@@ -121,10 +118,10 @@ def trdma_link(
     for bank in banks:
         if bank.filter_length != length or bank.n_tx != ensemble.n_tx:
             raise DimensionMismatchError("bank dimensions differ from ensemble")
-    target_cirs = ensemble.cirs[:, [int(t) for t in targets], :]  # (n_tx, U, L)
+    target_spectra = ensemble.spectrum[:, [int(t) for t in targets], :]  # (n_tx, U, nfft)
     table = np.empty((n_users, n_users, 2 * length - 1), dtype=np.complex128)
     for v, bank in enumerate(banks):
-        table[v] = _bank_through_channel(bank, target_cirs)
+        table[v] = _bank_through_channel(bank, target_spectra)
     return TrdmaResult(
         per_user_rx=table,
         symbol_period_samples=int(symbol_period_samples),

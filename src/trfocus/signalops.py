@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import (
     AliasingError,
@@ -140,14 +139,14 @@ def gen_chirp(
 def convolve(a: Waveform, b: Waveform) -> Waveform:
     """Full linear convolution, length len(a) + len(b) - 1.
 
-    Uses transform-domain fast convolution; matches the direct double
-    sum to machine precision.
+    The direct sum (np.convolve).  The pipeline sounds in the frequency
+    domain (experiment.sound_cirs); this is the time-domain reference.
     """
     if a.sample_rate_hz != b.sample_rate_hz:
         raise RateMismatchError(
             f"sample rates differ: {a.sample_rate_hz:g} vs {b.sample_rate_hz:g}"
         )
-    out = scipy.signal.fftconvolve(a.samples, b.samples, mode="full")
+    out = np.convolve(a.samples, b.samples)
     carrier = a.carrier_hz if a.carrier_hz > 0 else b.carrier_hz
     return Waveform(out, a.sample_rate_hz, carrier)
 

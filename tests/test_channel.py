@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.optimize import brentq
 
 from trfocus.channel import (
@@ -204,6 +205,17 @@ class TestBuildEnsemble:
         b = build_ensemble(params, grid, 2, 42)
         np.testing.assert_array_equal(a.cirs, b.cirs)
         assert a.seed == 42
+
+    def test_spectrum_is_cached_and_read_only(self):
+        params = small_params()
+        ens = build_ensemble(params, RxGrid(np.array([0.0, 0.01])), 2, 3)
+        spec = ens.spectrum
+        assert spec is ens.spectrum
+        assert not spec.flags.writeable
+        with pytest.raises(ValueError):
+            spec[0, 0, 0] = 1.0
+        nfft = scipy.fft.next_fast_len(2 * ens.cir_length - 1)
+        np.testing.assert_array_equal(spec, np.fft.fft(ens.cirs, nfft, axis=2))
 
 
 class TestSpatialCorrelationTheory:

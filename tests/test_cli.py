@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -35,6 +36,14 @@ def run_cli(*args):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def child_env(**overrides):
+    """The environment for a child interpreter that imports this trfocus."""
+    src = str(Path(trfocus.__file__).resolve().parents[1])
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def tree_bytes(root):
@@ -151,12 +160,32 @@ class TestRunCommand:
             path.write_text(text)
             bad_args.append(("--config", path))
         bad_args += [
+            ("--preset", "subthz", "--trials", "1000000000"),
             ("--preset", "subthz", "--seed", "-1"),
             ("--preset", "subthz", "--users", "0.0"),
         ]
         for args in bad_args:
             assert run_cli("run", *args, "--outdir", tmp_path / "bad") == 2, args
             assert capsys.readouterr().err.startswith("error:"), args
+        assert not (tmp_path / "bad").exists()
+
+    def test_oversized_grid_exits_2_without_allocating(self, tmp_path):
+        # A 1 nm step gives 3e8 grid points: 2.2 GiB of positions alone and
+        # terabytes of taps.  The child runs under a 3 GiB address-space
+        # limit, so a missing size check fails the test instead of
+        # exhausting the host's memory.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "trfocus", "run", "--preset", "sub6ghz",
+             "--grid-start", "0", "--grid-stop", "0.3", "--grid-step", "1e-9",
+             "--outdir", str(tmp_path / "bad")],
+            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=limit_memory, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "budget" in proc.stderr
         assert not (tmp_path / "bad").exists()
 
     def test_non_finite_values_exit_2(self, tmp_path, capsys):
@@ -179,16 +208,14 @@ class TestRunCommand:
     def test_blas_thread_count_does_not_change_outputs(self, tmp_path):
         # OpenBLAS reads its thread count at load time, so each count
         # needs its own interpreter.
-        src = str(Path(trfocus.__file__).resolve().parents[1])
         trees = []
         for blas_threads in ("1", "2"):
             out = tmp_path / f"blas{blas_threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             proc = subprocess.run(
                 [sys.executable, "-m", "trfocus", "run", "--preset", "subthz",
                  "--trials", "2", "--outdir", str(out)],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True,
+                env=child_env(OPENBLAS_NUM_THREADS=blas_threads),
             )
             assert proc.returncode == 0, proc.stderr
             trees.append(tree_bytes(out))
@@ -279,6 +306,17 @@ class TestPresetsCommand:
         listed = json.loads(capsys.readouterr().out)
         assert set(listed) == {"sub6ghz", "mmwave", "subthz"}
         assert listed["mmwave"]["bandwidth_hz"] == 2e9
+
+    def test_import_leaves_scipy_signal_and_stats_unloaded(self):
+        code = (
+            "import sys, trfocus.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from trfocus.channel import RxGrid, build_ensemble
-from trfocus.errors import ConfigError, ParameterError
+import trfocus.experiment as experiment
+from trfocus.channel import ChannelEnsemble, RxGrid, build_ensemble
+from trfocus.errors import (
+    ConfigError,
+    DegenerateProbeError,
+    IllConditionedError,
+    ParameterError,
+)
 from trfocus.experiment import (
+    MAX_TRIALS,
     PRESETS,
     ScenarioConfig,
     _grid_positions,
@@ -16,7 +23,45 @@ from trfocus.experiment import (
     sound_cirs,
     thread_count,
 )
-from trfocus.signalops import inband_nmse_db
+from trfocus.signalops import (
+    Waveform,
+    convolve,
+    inband_nmse_db,
+    wiener_deconvolve,
+)
+
+
+def sound_cirs_per_antenna(ensemble, rx_index, chirp_duration_s, sounding_snr_db, rng):
+    """Oracle for sound_cirs: time-domain convolution, then AWGN, then
+    wiener_deconvolve, one antenna at a time."""
+    params = ensemble.params
+    probe = experiment.gen_chirp(
+        params.bandwidth_hz, chirp_duration_s, params.sample_rate_hz, params.carrier_hz
+    )
+    gen = np.random.default_rng(rng)
+    estimates = []
+    for a in range(ensemble.n_tx):
+        cir = ensemble.cir(a, rx_index)
+        rx = convolve(probe, Waveform(cir.taps, cir.sample_rate_hz, cir.carrier_hz))
+        epsilon = None
+        if sounding_snr_db is not None:
+            power = float(np.mean(np.abs(rx.samples) ** 2))
+            sigma2 = power * 10.0 ** (-sounding_snr_db / 10.0)
+            noise = gen.standard_normal(len(rx)) + 1j * gen.standard_normal(len(rx))
+            rx = Waveform(rx.samples + np.sqrt(sigma2 / 2.0) * noise, rx.sample_rate_hz)
+            epsilon = sigma2 * len(rx)
+        estimates.append(
+            wiener_deconvolve(rx, probe, epsilon, cir_length=ensemble.cir_length)
+        )
+    return estimates
+
+
+def outcome(fn, *args):
+    """The taps fn returns, or the type of the error it raises."""
+    try:
+        return np.array([c.taps for c in fn(*args)])
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
 
 
 class TestPresets:
@@ -76,6 +121,22 @@ class TestScenarioConfig:
         pos = _grid_positions(-0.003, 0.003, 0.0003)
         assert pos.size == 21
 
+    def test_trial_count_is_bounded(self):
+        config_from_preset("subthz", n_trials=MAX_TRIALS, seed=0)
+        with pytest.raises(ConfigError, match="n_trials"):
+            config_from_preset("subthz", n_trials=MAX_TRIALS + 1, seed=0)
+
+    def test_ensemble_budget_checked_before_allocation(self):
+        # 10^6 points x 8 Tx x (320 taps + 640 bins) x 16 bytes is 114 GiB.
+        grid = RxGrid(np.arange(1_000_000) * 1e-9)
+        with pytest.raises(ParameterError, match="budget"):
+            config_from_preset("sub6ghz", grid=grid, target_m=0.0)
+        cavity = PRESETS["sub6ghz"].cavity()
+        with pytest.raises(ParameterError, match="budget"):
+            build_ensemble(cavity, grid, 8, 0)
+        with pytest.raises(ConfigError, match="budget"):
+            _grid_positions(0.0, 0.30, 1e-9)
+
     def test_thread_count_env(self, monkeypatch):
         monkeypatch.setenv("TRFOCUS_THREADS", "2")
         assert thread_count() == 2
@@ -124,6 +185,60 @@ class TestSounding:
         ens = build_ensemble(config.cavity, config.grid, config.n_tx, 3)
         with pytest.raises(ParameterError, match="None means noiseless"):
             sound_cirs(ens, 1, 1e-6, snr_db, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("snr_db", [None, 30.0])
+    @pytest.mark.parametrize("n_tx", [1, 8])
+    def test_batched_sounding_matches_per_antenna_oracle(self, n_tx, snr_db):
+        config = self.small_config(n_tx=n_tx)
+        ens = build_ensemble(config.cavity, config.grid, n_tx, 12)
+        for rx in range(len(config.grid)):
+            fast = outcome(sound_cirs, ens, rx, 1e-6, snr_db, 40 + rx)
+            slow = outcome(sound_cirs_per_antenna, ens, rx, 1e-6, snr_db, 40 + rx)
+            assert fast.shape == (n_tx, ens.cir_length)
+            err = np.linalg.norm(fast - slow, axis=1) / np.linalg.norm(slow, axis=1)
+            assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize("snr_db", [None, 30.0])
+    def test_all_zero_cir_row_matches_oracle(self, snr_db):
+        config = self.small_config(n_tx=8)
+        cirs = build_ensemble(config.cavity, config.grid, 8, 13).cirs.copy()
+        cirs[3, 1] = 0.0
+        ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=8)
+        fast = outcome(sound_cirs, ens, 1, 1e-6, snr_db, 7)
+        slow = outcome(sound_cirs_per_antenna, ens, 1, 1e-6, snr_db, 7)
+        assert not isinstance(slow, type)
+        np.testing.assert_array_equal(fast[3], slow[3])
+        live = [0, 1, 2, 4, 5, 6, 7]
+        err = np.linalg.norm(fast[live] - slow[live]) / np.linalg.norm(slow[live])
+        assert err <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_taps_raise_parameter_error(self):
+        config = self.small_config()
+        cirs = build_ensemble(config.cavity, config.grid, 2, 14).cirs.copy()
+        cirs[1, 1, 5] = np.nan
+        ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=2)
+        for snr_db in (None, 30.0):
+            assert outcome(sound_cirs, ens, 1, 1e-6, snr_db, 0) is ParameterError
+            assert outcome(sound_cirs_per_antenna, ens, 1, 1e-6, snr_db, 0) is ParameterError
+
+    @pytest.mark.parametrize(
+        "probe_samples, error",
+        [(np.zeros(400), DegenerateProbeError), (np.ones(512), IllConditionedError)],
+    )
+    def test_degenerate_probes_raise_like_oracle(self, monkeypatch, probe_samples, error):
+        # A zero probe cannot be deconvolved; a DC probe has exact spectral
+        # nulls, fatal when an all-zero record makes the regularizer 0.
+        config = self.small_config()
+        cirs = build_ensemble(config.cavity, config.grid, 2, 15).cirs.copy()
+        cirs[0, 1] = 0.0
+        ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=2)
+        fs = config.cavity.sample_rate_hz
+        monkeypatch.setattr(
+            experiment, "gen_chirp", lambda *args: Waveform(probe_samples, fs, 2.5e9)
+        )
+        assert outcome(sound_cirs, ens, 1, 1e-6, 30.0, 0) is error
+        assert outcome(sound_cirs_per_antenna, ens, 1, 1e-6, 30.0, 0) is error
 
     def test_sounded_trial_still_focuses(self):
         config = self.small_config(csi_mode="sounded", sounding_snr_db=30.0)

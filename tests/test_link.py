@@ -28,6 +28,11 @@ def ensemble_from_taps(taps, carrier_hz=10e9, bandwidth_hz=0.5e9, oversample=2):
     return ChannelEnsemble(cirs=taps, params=params, grid=grid, n_tx=n_tx)
 
 
+def convolved_sum(filters, cirs):
+    """Oracle: sum_a np.convolve(filters[a], cirs[a]) in the time domain."""
+    return sum(np.convolve(w, h) for w, h in zip(filters, cirs))
+
+
 def rich_params(n_paths=300, oversample=2, bandwidth_hz=0.5e9, carrier_hz=10e9):
     return CavityParams(
         carrier_hz=carrier_hz,
@@ -65,6 +70,17 @@ class TestFocusField:
             expected = math.sqrt(e_tx * sum(np.sum(np.abs(ens.cirs[:, 1]) ** 2, axis=1)))
             assert abs(peak.real - expected) < 1e-9 * expected
             assert abs(peak.imag) < 1e-9 * abs(peak)
+
+    def test_matches_time_domain_convolution(self):
+        params = rich_params(n_paths=200)
+        grid = RxGrid(np.array([0.0, 0.01, 0.02, 0.05]))
+        ens = build_ensemble(params, grid, 3, 5)
+        bank = tr_filters(ens.cirs_at(2), 1.0)
+        fld = focus_field(bank, ens)
+        for x in range(len(grid)):
+            ref = convolved_sum(bank.filters, ens.cirs[:, x])
+            err = np.linalg.norm(fld.field[x] - ref) / np.linalg.norm(ref)
+            assert err <= 1e-12
 
     def test_energy_scaling_preserves_argmax(self):
         params = rich_params(n_paths=100)
@@ -105,6 +121,19 @@ class TestTrdmaLink:
         result = trdma_link([bank], ens, [1], symbol_period_samples=8)
         fld = focus_field(bank, ens)
         np.testing.assert_allclose(result.per_user_rx[0, 0], fld.field[1], rtol=1e-12)
+
+    def test_matches_time_domain_convolution(self):
+        params = rich_params(n_paths=200)
+        grid = RxGrid(np.array([0.0, 0.01, 0.02, 0.05]))
+        ens = build_ensemble(params, grid, 3, 6)
+        targets = [3, 0, 2]
+        banks = [tr_filters(ens.cirs_at(t), 1.0) for t in targets]
+        result = trdma_link(banks, ens, targets, symbol_period_samples=8)
+        for v, bank in enumerate(banks):
+            for u, t in enumerate(targets):
+                ref = convolved_sum(bank.filters, ens.cirs[:, t])
+                err = np.linalg.norm(result.per_user_rx[v, u] - ref) / np.linalg.norm(ref)
+                assert err <= 1e-12
 
     def test_duplicate_targets_rejected(self):
         params = rich_params(n_paths=50)

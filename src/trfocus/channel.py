@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -173,14 +173,19 @@ def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
 
 @dataclass(frozen=True)
 class ChannelEnsemble:
-    """CIRs indexed by (tx antenna, rx grid position) for one realization."""
+    """CIRs indexed by (tx antenna, rx grid position) for one realization.
+
+    ``spectrum`` is the read-only fft(cirs, next_fast_len(2L-1), axis=2),
+    computed at construction and shared by every bank propagated through
+    this ensemble.
+    """
 
     cirs: np.ndarray  # complex, shape (n_tx, n_rx, cir_length)
     params: CavityParams
     grid: RxGrid
     n_tx: int
     seed: int | None = None
-    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.cirs, dtype=np.complex128)
@@ -191,6 +196,9 @@ class ChannelEnsemble:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "cirs", arr)
+        spec = np.fft.fft(arr, _spectrum_length(arr.shape[2]), axis=2)
+        spec.setflags(write=False)
+        object.__setattr__(self, "spectrum", spec)
 
     @property
     def cir_length(self) -> int:
@@ -199,19 +207,6 @@ class ChannelEnsemble:
     @property
     def sample_rate_hz(self) -> float:
         return self.params.sample_rate_hz
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Read-only fft(cirs, next_fast_len(2L-1), axis=2), computed on
-        first use and shared by every bank propagated through this ensemble.
-
-        Two threads that race on the first access both compute the same
-        array; no lock is held across instances."""
-        if self._spectrum is None:
-            spec = np.fft.fft(self.cirs, _spectrum_length(self.cir_length), axis=2)
-            spec.setflags(write=False)
-            object.__setattr__(self, "_spectrum", spec)
-        return self._spectrum
 
     def cir(self, tx: int, rx: int) -> Cir:
         return Cir(self.cirs[tx, rx], self.sample_rate_hz, self.params.carrier_hz)
@@ -431,7 +426,6 @@ def save_ensemble(ensemble: ChannelEnsemble, path, mode: str = "text") -> None:
     """
     if mode not in ("text", "binary"):
         raise ParameterError("mode must be 'text' or 'binary'")
-    p = ensemble.params
     header = {
         "format": _FORMAT_NAME,
         "version": 1,
@@ -440,15 +434,7 @@ def save_ensemble(ensemble: ChannelEnsemble, path, mode: str = "text") -> None:
         "n_rx": len(ensemble.grid),
         "cir_length": ensemble.cir_length,
         "seed": ensemble.seed,
-        "params": {
-            "carrier_hz": p.carrier_hz,
-            "bandwidth_hz": p.bandwidth_hz,
-            "decay_time_s": p.decay_time_s,
-            "max_delay_s": p.max_delay_s,
-            "aperture_half_angle_rad": p.aperture_half_angle_rad,
-            "n_paths": p.n_paths,
-            "oversample": p.oversample,
-        },
+        "params": asdict(ensemble.params),
         "grid": {
             "positions_m": [float(x) for x in ensemble.grid.positions_m],
             "axis": [float(x) for x in ensemble.grid.axis],
@@ -458,13 +444,8 @@ def save_ensemble(ensemble: ChannelEnsemble, path, mode: str = "text") -> None:
     if mode == "text":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header_line + "\n")
-            flat = ensemble.cirs.reshape(-1, ensemble.cir_length)
-            for row in flat:
-                parts = []
-                for v in row:
-                    parts.append(repr(float(v.real)))
-                    parts.append(repr(float(v.imag)))
-                fh.write(" ".join(parts) + "\n")
+            for row in ensemble.cirs.reshape(-1, ensemble.cir_length):
+                fh.write(" ".join(map(repr, row.view(np.float64).tolist())) + "\n")
     else:
         with open(path, "wb") as fh:
             fh.write(header_line.encode("utf-8") + b"\n")
@@ -487,16 +468,7 @@ def load_ensemble(path) -> ChannelEnsemble:
     if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
         raise ParameterError(f"{path} is not a {_FORMAT_NAME} file")
     try:
-        p = header["params"]
-        params = CavityParams(
-            carrier_hz=p["carrier_hz"],
-            bandwidth_hz=p["bandwidth_hz"],
-            decay_time_s=p["decay_time_s"],
-            max_delay_s=p["max_delay_s"],
-            aperture_half_angle_rad=p["aperture_half_angle_rad"],
-            n_paths=p["n_paths"],
-            oversample=p["oversample"],
-        )
+        params = CavityParams(**header["params"])
         grid = RxGrid(
             positions_m=np.array(header["grid"]["positions_m"], dtype=np.float64),
             axis=np.array(header["grid"]["axis"], dtype=np.float64),
@@ -510,11 +482,16 @@ def load_ensemble(path) -> ChannelEnsemble:
     check_ensemble_size(*shape)
     try:
         if mode == "text":
-            rows = []
-            for line in body.decode("utf-8").splitlines():
-                vals = np.array([float(tok) for tok in line.split()], dtype=np.float64)
-                rows.append(vals[0::2] + 1j * vals[1::2])
-            cirs = np.array(rows, dtype=np.complex128).reshape(shape)
+            # One CIR per line; ragged lines make np.array raise ValueError.
+            values = np.array(
+                [
+                    np.fromiter(map(float, line.split()), np.float64)
+                    for line in body.decode("utf-8").splitlines()
+                ]
+            )
+            if values.shape != (shape[0] * shape[1], 2 * shape[2]):
+                raise ValueError(f"text body of shape {values.shape}")
+            cirs = values.view(np.complex128).reshape(shape)
         else:
             cirs = np.frombuffer(body, dtype="<c16").reshape(shape).astype(np.complex128)
     except ValueError as exc:

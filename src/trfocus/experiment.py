@@ -316,20 +316,15 @@ def sound_cirs(
 
 
 def _bank_for_target(
-    config: ScenarioConfig,
-    ensemble: ChannelEnsemble,
-    rx_index: int,
-    noise_rng,
-    tx_energy: float | None = None,
+    config: ScenarioConfig, ensemble: ChannelEnsemble, rx_index: int, noise_rng
 ) -> TrFilterBank:
-    energy = tx_energy if tx_energy is not None else config.tx_energy
     if config.csi_mode == "sounded":
         cirs = sound_cirs(
             ensemble, rx_index, config.chirp_duration_s, config.sounding_snr_db, noise_rng
         )
     else:
         cirs = ensemble.cirs_at(rx_index)
-    return tr_filters(cirs, energy)
+    return tr_filters(cirs, config.tx_energy)
 
 
 @dataclass
@@ -338,6 +333,15 @@ class TrialOutput:
     spatial_power: np.ndarray | None  # linear power per grid position
     temporal_power: np.ndarray  # linear power per time sample, target row
     peak_time_s: float
+
+
+def _unless(error: type[Exception], fn: Callable, *args):
+    """fn(*args), or None when it raises error: a metric the trial's field
+    does not support is dropped from that trial's report."""
+    try:
+        return fn(*args)
+    except error:
+        return None
 
 
 def _measure_target(
@@ -360,26 +364,12 @@ def _measure_target(
     peak_n = int(np.argmax(power_row))
     peak_power_db = 10.0 * math.log10(float(power_row[peak_n]))
 
-    try:
-        t_fwhm = temporal_fwhm(row, fld.sample_rate_hz)
-    except EdgePeakError:
-        t_fwhm = None
-
-    s_fwhm = None
-    spatial_power = None
+    t_fwhm = _unless(EdgePeakError, temporal_fwhm, row, fld.sample_rate_hz)
+    spatial_power = s_fwhm = gain_db = None
     if fld.n_positions >= 2:
         spatial_power = np.abs(fld.field[:, peak_n]) ** 2
-        try:
-            s_fwhm = spatial_profile(fld, peak_n).fwhm_m
-        except EdgePeakError:
-            s_fwhm = None
-
-    gain_db = None
-    if fld.n_positions >= 2:
-        try:
-            gain_db = focusing_gain(fld, target)
-        except DegenerateBackgroundError:
-            gain_db = None
+        s_fwhm = _unless(EdgePeakError, lambda: spatial_profile(fld, peak_n).fwhm_m)
+        gain_db = _unless(DegenerateBackgroundError, focusing_gain, fld, target)
 
     sir_db = None
     isi_db = None
@@ -456,8 +446,19 @@ def run_trials(config: ScenarioConfig) -> list[TrialOutput]:
 # File emission
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path, header: str, *columns: np.ndarray) -> None:
+    """One row per index of the numpy columns, each value the repr of its
+    Python scalar: floats round-trip exactly and int columns stay ints."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in zip(*(map(repr, column.tolist()) for column in columns)):
+            fh.write(",".join(row) + "\n")
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _mean_or_none(values) -> float | None:
@@ -472,13 +473,6 @@ def _db_profile(mean_linear: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(mean_linear, 1e-300) / max(ref, 1e-300))
 
 
-def _write_profile_csv(path, positions, power_db) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("position_m,power_db\n")
-        for x, p in zip(positions, power_db):
-            fh.write(f"{_fmt(x)},{_fmt(p)}\n")
-
-
 def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) -> dict:
     """Write per-trial CSV rows, mean profiles, reports and the summary.
 
@@ -490,37 +484,36 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     positions = config.grid.positions_m
-    fs = config.cavity.sample_rate_hz
+    trials = np.array([o.report.trial for o in outputs])
 
-    with open(out / "temporal_trials.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("trial,time_s,power_db\n")
-        for o in outputs:
-            power_db = 10.0 * np.log10(np.maximum(o.temporal_power, 1e-300))
-            for n, p in enumerate(power_db):
-                fh.write(f"{o.report.trial},{_fmt(n / fs)},{_fmt(p)}\n")
-
+    times = np.arange(len(outputs[0].temporal_power)) / config.cavity.sample_rate_hz
+    _write_csv(
+        out / "temporal_trials.csv",
+        "trial,time_s,power_db",
+        np.repeat(trials, times.size),
+        np.tile(times, len(outputs)),
+        np.concatenate([10.0 * np.log10(np.maximum(o.temporal_power, 1e-300)) for o in outputs]),
+    )
     mean_temporal = np.mean([o.temporal_power for o in outputs], axis=0)
-    with open(out / "temporal_mean.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("time_s,power_db\n")
-        for n, p in enumerate(_db_profile(mean_temporal)):
-            fh.write(f"{_fmt(n / fs)},{_fmt(p)}\n")
+    _write_csv(out / "temporal_mean.csv", "time_s,power_db", times, _db_profile(mean_temporal))
 
-    have_spatial = outputs[0].spatial_power is not None
-    if have_spatial:
-        with open(out / "spatial_trials.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("trial,position_m,power_db,peak_time_s\n")
-            for o in outputs:
-                power_db = 10.0 * np.log10(np.maximum(o.spatial_power, 1e-300))
-                for x, p in zip(positions, power_db):
-                    fh.write(
-                        f"{o.report.trial},{_fmt(x)},{_fmt(p)},{_fmt(o.peak_time_s)}\n"
-                    )
+    if outputs[0].spatial_power is not None:
+        _write_csv(
+            out / "spatial_trials.csv",
+            "trial,position_m,power_db,peak_time_s",
+            np.repeat(trials, positions.size),
+            np.tile(positions, len(outputs)),
+            np.concatenate(
+                [10.0 * np.log10(np.maximum(o.spatial_power, 1e-300)) for o in outputs]
+            ),
+            np.repeat([o.peak_time_s for o in outputs], positions.size),
+        )
         mean_spatial = np.mean([o.spatial_power for o in outputs], axis=0)
-        _write_profile_csv(out / "spatial_mean.csv", positions, _db_profile(mean_spatial))
+        _write_csv(
+            out / "spatial_mean.csv", "position_m,power_db", positions, _db_profile(mean_spatial)
+        )
 
-    with open(out / "trials.json", "w", encoding="utf-8") as fh:
-        json.dump([o.report.to_dict() for o in outputs], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "trials.json", [o.report.to_dict() for o in outputs])
 
     sir_means = []
     for o in outputs:
@@ -537,9 +530,7 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
         "mean_focusing_gain_db": _mean_or_none(o.report.focusing_gain_db for o in outputs),
         "mean_sir_db": _mean_or_none(sir_means),
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     return summary
 
 
@@ -623,81 +614,52 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"figure": figure_id, "seed": seed, "files": []}
+    if trials is None:
+        trials = 50 if figure_id == "fig4" else 20
+
+    def config(preset: str, subdir: str, **overrides) -> ScenarioConfig:
+        return config_from_preset(
+            preset, n_trials=trials, seed=seed, outdir=str(out / subdir), **overrides
+        )
+
+    def profile_csv(name: str, cfg: ScenarioConfig, profile: np.ndarray) -> None:
+        path = out / name
+        _write_csv(path, "position_m,power_db", cfg.grid.positions_m, _db_profile(profile))
+        manifest["files"].append(str(path))
+
+    def run_files(cfg: ScenarioConfig, *names: str) -> None:
+        manifest["files"].extend(str(Path(cfg.outdir) / name) for name in names)
 
     if figure_id == "fig2a":
-        n_trials = trials if trials is not None else 20
         grid = RxGrid(_grid_positions(0.0, 0.30, 0.005))
-        config = config_from_preset(
-            "sub6ghz",
-            bandwidth_hz=100e6,
-            grid=grid,
-            target_m=0.075,
-            n_trials=n_trials,
-            seed=seed,
-            outdir=str(out),
-        )
-        profile = _dual_target_mean_profile(config, (0.075, 0.20))
-        path = out / "fig2a_spatial.csv"
-        _write_profile_csv(path, grid.positions_m, _db_profile(profile))
-        manifest["files"].append(str(path))
+        fig2a = config("sub6ghz", ".", bandwidth_hz=100e6, grid=grid, target_m=0.075)
+        profile_csv("fig2a_spatial.csv", fig2a, _dual_target_mean_profile(fig2a, (0.075, 0.20)))
         manifest["targets_m"] = [0.075, 0.20]
 
     elif figure_id == "fig2b":
-        n_trials = trials if trials is not None else 20
-        config = config_from_preset(
-            "sub6ghz",
-            bandwidth_hz=400e6,
-            target_m=0.10,
-            n_trials=n_trials,
-            seed=seed,
-            outdir=str(out / "fig2b_run"),
-        )
-        run_experiment(config)
-        for name in ("temporal_mean.csv", "spatial_mean.csv", "summary.json"):
-            manifest["files"].append(str(Path(config.outdir) / name))
+        fig2b = config("sub6ghz", "fig2b_run", bandwidth_hz=400e6, target_m=0.10)
+        run_experiment(fig2b)
+        run_files(fig2b, "temporal_mean.csv", "spatial_mean.csv", "summary.json")
 
     elif figure_id == "fig3":
-        n_trials = trials if trials is not None else 20
-        config = config_from_preset(
-            "mmwave",
-            users_m=(-0.01, 0.01),
-            target_m=-0.01,
-            n_trials=n_trials,
-            seed=seed,
-            outdir=str(out / "fig3_run"),
-        )
-        run_experiment(config)
-        for name in ("trials.json", "summary.json", "temporal_mean.csv"):
-            manifest["files"].append(str(Path(config.outdir) / name))
+        fig3 = config("mmwave", "fig3_run", users_m=(-0.01, 0.01), target_m=-0.01)
+        run_experiment(fig3)
+        run_files(fig3, "trials.json", "summary.json", "temporal_mean.csv")
         manifest["users_m"] = [-0.01, 0.01]
 
     else:  # fig4
-        n_trials = trials if trials is not None else 50
         configs = [
-            config_from_preset(
-                "subthz",
-                target_m=target,
-                n_trials=n_trials,
-                seed=seed,
-                outdir=str(out / f"fig4_tr_{label}"),
-            )
+            config("subthz", f"fig4_tr_{label}", target_m=target)
             for label, target in (("neg", -0.0009), ("pos", 0.0009))
         ]
         # Both targets are measured on each trial's one ensemble; each
         # output set equals a run_experiment of its config alone.
         runs = map_trials(configs[0], lambda t, seed_seq: run_trial(configs, t, seed_seq))
-        for i, config in enumerate(configs):
-            write_outputs(config, [outputs[i] for outputs in runs], config.outdir)
-            manifest["files"].append(str(Path(config.outdir) / "spatial_mean.csv"))
-        baseline_cfg = config_from_preset(
-            "subthz", target_m=0.0, n_trials=n_trials, seed=seed, outdir=str(out)
-        )
-        baseline = _no_tr_mean_profile(baseline_cfg)
-        path = out / "fig4_no_tr_spatial.csv"
-        _write_profile_csv(path, baseline_cfg.grid.positions_m, _db_profile(baseline))
-        manifest["files"].append(str(path))
+        for i, fig4 in enumerate(configs):
+            write_outputs(fig4, [outputs[i] for outputs in runs], fig4.outdir)
+            run_files(fig4, "spatial_mean.csv")
+        baseline = config("subthz", ".", target_m=0.0)
+        profile_csv("fig4_no_tr_spatial.csv", baseline, _no_tr_mean_profile(baseline))
 
-    with open(out / f"{figure_id}_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / f"{figure_id}_manifest.json", manifest)
     return manifest

@@ -1,15 +1,23 @@
 """Oracle and invariant tests for the diffuse multipath channel model."""
 
+import contextlib
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
 from trfocus.channel import (
     SPEED_OF_LIGHT_M_S as C,
     CavityParams,
+    ChannelEnsemble,
     PathSet,
     RxGrid,
     build_ensemble,
@@ -370,6 +378,18 @@ class TestEnsembleExport:
         with pytest.raises(ParameterError, match="body does not hold"):
             load_ensemble(path)
 
+    def test_cir_split_over_two_lines_raises_parameter_error(self, tmp_path):
+        path = tmp_path / "ensemble.txt"
+        save_ensemble(self.make_small(), path, mode="text")
+        header, first, rest = path.read_text().split("\n", 2)
+        tokens = first.split()
+        half = len(tokens) // 2
+        path.write_text(
+            "\n".join([header, " ".join(tokens[:half]), " ".join(tokens[half:]), rest])
+        )
+        with pytest.raises(ParameterError, match="body does not hold"):
+            load_ensemble(path)
+
     def test_header_is_json_first_line(self, tmp_path):
         import json
 
@@ -380,3 +400,54 @@ class TestEnsembleExport:
             header = json.loads(fh.readline())
         assert header["format"] == "trfocus-ensemble"
         assert header["n_tx"] == 2
+
+
+# Signed zero, the smallest and largest subnormals, the largest finite
+# magnitudes and values whose shortest repr needs 17 significant digits.
+_ADVERSARIAL_TAPS = (
+    -0.0,
+    5e-324,
+    -2.225073858507201e-308,
+    sys.float_info.max,
+    -sys.float_info.max,
+    0.1 + 0.2,
+    -1.0000000000000002,
+)
+
+
+@st.composite
+def tap_arrays(draw):
+    """Interleaved re/im taps of shape (n_tx, n_rx, 2L)."""
+    n_tx, n_rx, length = draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=4))
+    elements = st.one_of(
+        st.sampled_from(_ADVERSARIAL_TAPS), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    return draw(hnp.arrays(np.float64, (n_tx, n_rx, 2 * length), elements=elements))
+
+
+def warns_if_spectrum_overflows(cirs):
+    """The ensemble spectrum is computed at construction; taps near the
+    largest float make that FFT overflow, which numpy reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = np.fft.fft(cirs, scipy.fft.next_fast_len(2 * cirs.shape[2] - 1), axis=2)
+    if np.isfinite(spec).all():
+        return contextlib.nullcontext()
+    return pytest.warns(RuntimeWarning, match="encountered in fft")
+
+
+@settings(max_examples=60, deadline=None)
+@given(taps=tap_arrays())
+def test_save_load_round_trip_is_bit_exact(taps):
+    cirs = taps.view(np.complex128)
+    params = small_params(max_delay_s=1e-9)  # fs = 1 GHz, so any L >= 1 fits
+    grid = RxGrid(0.001 * np.arange(cirs.shape[1]))
+    with warns_if_spectrum_overflows(cirs):
+        ens = ChannelEnsemble(cirs=cirs, params=params, grid=grid, n_tx=cirs.shape[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in ("text", "binary"):
+            path = Path(tmp) / mode
+            save_ensemble(ens, path, mode=mode)
+            with warns_if_spectrum_overflows(cirs):
+                back = load_ensemble(path)
+            np.testing.assert_array_equal(back.cirs.view(np.int64), cirs.view(np.int64))
+            assert back.params == params

@@ -1,5 +1,6 @@
 """Tests for scenario configuration, sounding and the campaign runner."""
 
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from trfocus.experiment import (
     run_trials,
     sound_cirs,
     thread_count,
+    write_outputs,
 )
 from trfocus.signalops import (
     Waveform,
@@ -340,3 +342,77 @@ class TestRunTrials:
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.temporal_power, b.temporal_power)
             assert a.report.to_dict() == b.report.to_dict()
+
+
+def read_csv(path):
+    """(header line, rows of string cells) of a written CSV."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+def exact_floats(cells):
+    """The cells as floats; each cell must be the repr of its value."""
+    values = [float(cell) for cell in cells]
+    assert list(cells) == [repr(v) for v in values]
+    return np.array(values)
+
+
+class TestWriteOutputs:
+    """The files write_outputs writes hold every number as the repr of the
+    float it came from, so they read back to the computed arrays exactly."""
+
+    def test_files_read_back_to_trial_outputs(self, tmp_path):
+        config = config_from_preset(
+            "subthz",
+            grid=RxGrid(np.array([-0.0003, 0.0, 0.0003])),
+            target_m=0.0,
+            n_trials=2,
+            seed=3,
+        )
+        outputs = run_trials(config)
+        summary = write_outputs(config, outputs, tmp_path)
+        positions = config.grid.positions_m
+        n_time = len(outputs[0].temporal_power)
+        times = np.arange(n_time) / config.cavity.sample_rate_hz
+
+        def db(power):
+            return 10.0 * np.log10(np.maximum(power, 1e-300))
+
+        header, rows = read_csv(tmp_path / "temporal_trials.csv")
+        assert header == "trial,time_s,power_db"
+        trial, time_s, power_db = zip(*rows)
+        assert trial == ("0",) * n_time + ("1",) * n_time
+        np.testing.assert_array_equal(exact_floats(time_s), np.tile(times, 2))
+        np.testing.assert_array_equal(
+            exact_floats(power_db), np.concatenate([db(o.temporal_power) for o in outputs])
+        )
+
+        header, rows = read_csv(tmp_path / "spatial_trials.csv")
+        assert header == "trial,position_m,power_db,peak_time_s"
+        trial, position_m, power_db, peak_time_s = zip(*rows)
+        assert trial == ("0",) * 3 + ("1",) * 3
+        np.testing.assert_array_equal(exact_floats(position_m), np.tile(positions, 2))
+        np.testing.assert_array_equal(
+            exact_floats(power_db), np.concatenate([db(o.spatial_power) for o in outputs])
+        )
+        np.testing.assert_array_equal(
+            exact_floats(peak_time_s), np.repeat([o.peak_time_s for o in outputs], 3)
+        )
+
+        for name, header_line, axis, attr in (
+            ("temporal_mean.csv", "time_s,power_db", times, "temporal_power"),
+            ("spatial_mean.csv", "position_m,power_db", positions, "spatial_power"),
+        ):
+            header, rows = read_csv(tmp_path / name)
+            assert header == header_line
+            x, power_db = zip(*rows)
+            mean = np.mean([getattr(o, attr) for o in outputs], axis=0)
+            np.testing.assert_array_equal(exact_floats(x), axis)
+            np.testing.assert_array_equal(exact_floats(power_db), db(mean / mean.max()))
+
+        for name, obj in (
+            ("trials.json", [o.report.to_dict() for o in outputs]),
+            ("summary.json", summary),
+        ):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"

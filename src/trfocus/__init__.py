@@ -16,7 +16,6 @@ from .channel import (
     load_ensemble,
     save_ensemble,
     spatial_correlation_theory,
-    synthesize_cir,
 )
 from .errors import (
     AliasingError,
@@ -29,7 +28,6 @@ from .errors import (
     IllConditionedError,
     InvalidTargetError,
     ParameterError,
-    RateMismatchError,
     TrfocusError,
 )
 from .experiment import (
@@ -57,13 +55,6 @@ from .precoding import (
     mrt_weights,
     tr_filters,
 )
-from .signalops import (
-    Cir,
-    Waveform,
-    convolve,
-    gen_chirp,
-    inband_nmse_db,
-    wiener_deconvolve,
-)
+from .signalops import Cir, Waveform, gen_chirp, inband_nmse_db
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import DimensionMismatchError, ParameterError
 from .signalops import Cir
@@ -155,9 +154,19 @@ class RxGrid:
 
 
 def _spectrum_length(cir_length: int) -> int:
-    """FFT length of an ensemble's spectrum: room for the 2L-1 samples of a
-    CIR convolved with an L-tap filter, rounded up to a fast size."""
-    return scipy.fft.next_fast_len(2 * cir_length - 1)
+    """FFT length of an ensemble's spectrum: the smallest 2*3*5*7*11-smooth
+    n >= 2L-1, room for a CIR convolved with an L-tap filter."""
+    target = 2 * cir_length - 1
+    best = 1 << (target - 1).bit_length()  # a power of two >= target
+    odd = [1]  # every 3*5*7*11-smooth m < best
+    for p in (3, 5, 7, 11):
+        for m in odd[:]:
+            while m * p < best:
+                m *= p
+                odd.append(m)
+    for m in odd:
+        best = min(best, m << (-(-target // m) - 1).bit_length())
+    return best
 
 
 def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
@@ -175,7 +184,7 @@ def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
 class ChannelEnsemble:
     """CIRs indexed by (tx antenna, rx grid position) for one realization.
 
-    ``spectrum`` is the read-only fft(cirs, next_fast_len(2L-1), axis=2),
+    ``spectrum`` is the read-only fft(cirs, _spectrum_length(L), axis=2),
     computed at construction and shared by every bank propagated through
     this ensemble.
     """
@@ -188,6 +197,8 @@ class ChannelEnsemble:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n_tx < 1:
+            raise ParameterError("n_tx must be a positive integer")
         arr = np.asarray(self.cirs, dtype=np.complex128)
         if arr.shape[:2] != (self.n_tx, len(self.grid)):
             raise DimensionMismatchError("cirs must have shape (n_tx, n_rx, L)")
@@ -324,27 +335,6 @@ def _synthesize_taps(
     tau = paths.delays_s + (position_m / SPEED_OF_LIGHT_M_S) * (paths.directions @ axis)
     coeff = paths.amplitudes * np.exp(-2j * np.pi * params.carrier_hz * tau)
     return _sinc_mix(coeff, tau * fs, length, params.oversample)
-
-
-def synthesize_cir(
-    paths: PathSet,
-    position_m: float,
-    params: CavityParams,
-    axis=None,
-    length: int | None = None,
-) -> Cir:
-    """Band-limited CIR seen at a given position on the grid axis.
-
-    Applies the exact per-path delay shift x*(axis . d_p)/c and carrier
-    phase, then interpolates onto the f_s = oversample*B tap grid with the
-    sinc kernel.  Pure: identical inputs give identical taps.
-    """
-    axis_v = _unit3(axis) if axis is not None else np.array([1.0, 0.0, 0.0])
-    n_taps = length if length is not None else params.cir_length
-    if n_taps < 1:
-        raise ParameterError("CIR length must be positive")
-    taps = _synthesize_taps(paths, float(position_m), params, axis_v, n_taps)
-    return Cir(taps, params.sample_rate_hz, params.carrier_hz)
 
 
 def build_ensemble(

@@ -169,8 +169,8 @@ def main(argv=None) -> int:
                     "aperture_half_angle_deg": round(
                         math.degrees(p.aperture_half_angle_rad), 3
                     ),
-                    "oversample": p.oversample,
-                    "n_paths": p.n_paths,
+                    "oversample": p.cavity().oversample,
+                    "n_paths": p.cavity().n_paths,
                     "grid_m": [p.grid_start_m, p.grid_stop_m, p.grid_step_m],
                     "target_m": p.target_m,
                 }

@@ -17,10 +17,6 @@ class AliasingError(ParameterError):
     """Requested bandwidth exceeds what the sample rate can represent."""
 
 
-class RateMismatchError(TrfocusError):
-    """Two signals that must share a sample rate do not."""
-
-
 class DegenerateProbeError(TrfocusError):
     """Deconvolution probe is identically zero."""
 

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .channel import (
     ENSEMBLE_BUDGET_BYTES,
@@ -47,7 +46,7 @@ from .metrics import (
     temporal_fwhm,
 )
 from .precoding import TrFilterBank, tr_filters
-from .signalops import Cir, _deconv_grid, gen_chirp
+from .signalops import Cir, gen_chirp
 
 THREADS_ENV_VAR = "TRFOCUS_THREADS"
 
@@ -72,8 +71,6 @@ class Preset:
     grid_stop_m: float
     grid_step_m: float
     target_m: float
-    n_paths: int = 2000
-    oversample: int = 4
 
     def cavity(self, bandwidth_hz: float | None = None) -> CavityParams:
         b = bandwidth_hz if bandwidth_hz is not None else self.bandwidth_hz
@@ -83,8 +80,6 @@ class Preset:
             decay_time_s=_DECAY_TAPS / b,
             max_delay_s=_SPAN_TAPS / b,
             aperture_half_angle_rad=self.aperture_half_angle_rad,
-            n_paths=self.n_paths,
-            oversample=self.oversample,
         )
 
     def grid(self) -> RxGrid:
@@ -142,6 +137,25 @@ def _grid_positions(start_m: float, stop_m: float, step_m: float) -> np.ndarray:
     return np.round(start_m + step_m * np.arange(n), 12)
 
 
+def _deconv_grid(n_received: int) -> int:
+    """The power-of-two FFT length that sounding deconvolves a record on."""
+    return 1 << max(int(math.ceil(math.log2(n_received))), 0)
+
+
+def _check_sounding_size(
+    n_tx: int, cir_length: int, chirp_duration_s: float, sample_rate_hz: float
+) -> None:
+    """Raise ParameterError when the record spectra of sounding n_tx
+    antennas with this chirp would exceed ENSEMBLE_BUDGET_BYTES."""
+    n_record = round(chirp_duration_s * sample_rate_hz) + cir_length - 1
+    n_bytes = 16 * n_tx * _deconv_grid(max(n_record, 1))
+    if n_bytes > ENSEMBLE_BUDGET_BYTES:
+        raise ParameterError(
+            f"sounding {n_tx} antennas with a {chirp_duration_s:g} s chirp needs "
+            f"{n_bytes / 2**30:.1f} GiB, over the {ENSEMBLE_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+
+
 def thread_count() -> int:
     """Worker count for trial-level parallelism: TRFOCUS_THREADS, an
     integer >= 1, when set; otherwise the CPU count, at most 4."""
@@ -186,10 +200,13 @@ class ScenarioConfig:
             raise ConfigError("seed must be >= 0")
         if self.csi_mode not in ("perfect", "sounded"):
             raise ConfigError("csi mode must be 'perfect' or 'sounded'")
-        if self.csi_mode == "sounded" and not (
-            math.isfinite(self.chirp_duration_s) and self.chirp_duration_s > 0
-        ):
-            raise ConfigError("chirp_duration_s must be positive and finite")
+        if self.csi_mode == "sounded":
+            if not (math.isfinite(self.chirp_duration_s) and self.chirp_duration_s > 0):
+                raise ConfigError("chirp_duration_s must be positive and finite")
+            _check_sounding_size(
+                self.n_tx, self.cavity.cir_length, self.chirp_duration_s,
+                self.cavity.sample_rate_hz,
+            )
         if self.sounding_snr_db is not None and not math.isfinite(self.sounding_snr_db):
             raise ConfigError("sounding_snr_db must be finite; None means noiseless")
         if not (math.isfinite(self.tx_energy) and self.tx_energy > 0):
@@ -273,15 +290,19 @@ def sound_cirs(
     noise power, or the noiseless default when sounding_snr_db is None.
 
     All antennas are sounded at once in the frequency domain, on the
-    power-of-two grid of wiener_deconvolve: the record spectrum is
-    S*H + FFT(noise), its power comes from Parseval, and one Wiener
-    division and one inverse FFT give every estimate.  The result equals
-    convolve, AWGN and wiener_deconvolve per antenna to rounding; the
-    noise is drawn in the same order (per antenna, real then imaginary).
+    power-of-two grid _deconv_grid of the record length: the record
+    spectrum is S*H + FFT(noise), its power comes from Parseval, and one
+    Wiener division and one inverse FFT give every estimate.  The result
+    equals a time-domain convolution, AWGN and Wiener deconvolution per
+    antenna to rounding; the noise is drawn in the same order (per
+    antenna, real then imaginary).
     """
     if sounding_snr_db is not None and not math.isfinite(sounding_snr_db):
         raise ParameterError("sounding_snr_db must be finite; None means noiseless")
     params = ensemble.params
+    _check_sounding_size(
+        ensemble.n_tx, ensemble.cir_length, chirp_duration_s, params.sample_rate_hz
+    )
     probe = gen_chirp(
         params.bandwidth_hz,
         chirp_duration_s,
@@ -579,7 +600,12 @@ def _dual_target_mean_profile(config: ScenarioConfig, targets_m: Sequence[float]
 def _no_tr_mean_profile(config: ScenarioConfig) -> np.ndarray:
     """Mean received-strength profile when the emitted filter is the raw,
     unreversed sounding chirp: no focusing instant exists, so the strength
-    at each position is the time-averaged received power."""
+    at each position is the time-averaged received power.
+
+    Every antenna emits the same chirp, so the record at a position is the
+    chirp convolved with the antenna-summed CIR.  By Parseval its energy
+    is sum_k |G_k|^2 |S_k|^2 / nfft, with G and S the spectra of that CIR
+    and of the chirp on the sounding grid."""
     params = config.cavity
     probe = gen_chirp(
         params.bandwidth_hz,
@@ -589,13 +615,12 @@ def _no_tr_mean_profile(config: ScenarioConfig) -> np.ndarray:
     )
     filt = probe.samples * math.sqrt(config.tx_energy / probe.energy)
     n_out = params.cir_length + filt.size - 1
-    nfft = scipy.fft.next_fast_len(n_out)
-    spec_filt = np.fft.fft(filt, nfft)
+    nfft = _deconv_grid(n_out)
+    filt_power = np.abs(np.fft.fft(filt, nfft)) ** 2
 
     def power(ensemble: ChannelEnsemble) -> np.ndarray:
-        spec = np.fft.fft(ensemble.cirs, nfft, axis=2) * spec_filt
-        rows = np.fft.ifft(spec, axis=2)[:, :, :n_out].sum(axis=0)
-        return np.mean(np.abs(rows) ** 2, axis=1)
+        spec = np.fft.fft(ensemble.cirs.sum(axis=0), nfft, axis=1)
+        return (np.abs(spec) ** 2 @ filt_power) / (nfft * n_out)
 
     return _mean_profile(config, power)
 

@@ -1,8 +1,7 @@
 """Sampled-signal primitives shared by the whole simulator.
 
-Everything here works on complex-baseband sequences: chirp generation,
-linear convolution and regularized (Wiener) deconvolution for
-channel-impulse-response estimation.  The
+Everything here works on complex-baseband sequences: the waveform and
+CIR types, chirp generation and the in-band NMSE of an estimate.  The
 carrier frequency attached to a signal is metadata only; no operation
 up- or down-converts.
 """
@@ -14,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AliasingError,
-    DegenerateProbeError,
-    IllConditionedError,
-    ParameterError,
-    RateMismatchError,
-)
+from .errors import AliasingError, ParameterError
 
 
 def _as_readonly_complex(samples) -> np.ndarray:
@@ -134,84 +127,6 @@ def gen_chirp(
     kappa = bandwidth_hz / duration_s
     phase = np.pi * kappa * (t - duration_s / 2.0) ** 2
     return Waveform(np.exp(1j * phase), sample_rate_hz, carrier_hz)
-
-
-def convolve(a: Waveform, b: Waveform) -> Waveform:
-    """Full linear convolution, length len(a) + len(b) - 1.
-
-    The direct sum (np.convolve).  The pipeline sounds in the frequency
-    domain (experiment.sound_cirs); this is the time-domain reference.
-    """
-    if a.sample_rate_hz != b.sample_rate_hz:
-        raise RateMismatchError(
-            f"sample rates differ: {a.sample_rate_hz:g} vs {b.sample_rate_hz:g}"
-        )
-    out = np.convolve(a.samples, b.samples)
-    carrier = a.carrier_hz if a.carrier_hz > 0 else b.carrier_hz
-    return Waveform(out, a.sample_rate_hz, carrier)
-
-
-def _deconv_grid(n_received: int) -> int:
-    return 1 << max(int(math.ceil(math.log2(n_received))), 0)
-
-
-def wiener_deconvolve(
-    received: Waveform,
-    probe: Waveform,
-    epsilon: float | None = None,
-    cir_length: int | None = None,
-) -> Cir:
-    """Estimate a CIR by regularized deconvolution of a probe transmission.
-
-    Hhat(f) = R(f) * conj(S(f)) / (|S(f)|^2 + epsilon) on a zero-padded
-    power-of-two grid covering the received record, inverse-transformed
-    and truncated to cir_length taps.
-
-    Args:
-        received: record of the probe after the channel (same rate as probe).
-        epsilon: regularizer, >= 0.  Rule of thumb: the per-bin noise power
-            (noise variance times record length).  None selects the
-            noiseless default 1e-6 * max|S(f)|^2.
-        cir_length: declared CIR length; None keeps the natural length
-            len(received) - len(probe) + 1.
-
-    Raises:
-        RateMismatchError: sample rates differ.
-        ParameterError: received shorter than probe, negative epsilon, or
-            non-positive cir_length.
-        DegenerateProbeError: probe is identically zero.
-        IllConditionedError: epsilon == 0 while some |S(f)| < 1e-12 * max|S|.
-    """
-    if received.sample_rate_hz != probe.sample_rate_hz:
-        raise RateMismatchError("received and probe sample rates differ")
-    if len(received) < len(probe):
-        raise ParameterError("received record shorter than the probe")
-    if np.max(np.abs(probe.samples)) == 0.0:
-        raise DegenerateProbeError("probe is identically zero")
-
-    nfft = _deconv_grid(len(received))
-    spec_probe = np.fft.fft(probe.samples, nfft)
-    spec_rx = np.fft.fft(received.samples, nfft)
-    power = np.abs(spec_probe) ** 2
-
-    if epsilon is None:
-        epsilon = 1e-6 * float(power.max())
-    if epsilon < 0:
-        raise ParameterError("epsilon must be nonnegative")
-    if epsilon == 0.0:
-        mags = np.abs(spec_probe)
-        if mags.min() < 1e-12 * mags.max():
-            raise IllConditionedError(
-                "epsilon = 0 with near-zero probe spectrum bins"
-            )
-
-    est = np.fft.ifft(spec_rx * np.conj(spec_probe) / (power + epsilon))
-    if cir_length is None:
-        cir_length = max(len(received) - len(probe) + 1, 1)
-    if cir_length < 1:
-        raise ParameterError("cir_length must be positive")
-    carrier = received.carrier_hz if received.carrier_hz > 0 else probe.carrier_hz
-    return Cir(est[:cir_length], received.sample_rate_hz, carrier)
 
 
 def inband_nmse_db(

@@ -14,20 +14,24 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
+from oracles import naive_taps
 from trfocus.channel import (
     SPEED_OF_LIGHT_M_S as C,
     CavityParams,
     ChannelEnsemble,
     PathSet,
     RxGrid,
+    _spectrum_length,
+    _synthesize_taps,
     build_ensemble,
     draw_paths,
     load_ensemble,
     save_ensemble,
     spatial_correlation_theory,
-    synthesize_cir,
 )
 from trfocus.errors import DimensionMismatchError, ParameterError
+
+X_AXIS = np.array([1.0, 0.0, 0.0])
 
 
 def small_params(**kw):
@@ -42,18 +46,6 @@ def small_params(**kw):
     )
     base.update(kw)
     return CavityParams(**base)
-
-
-def naive_taps(paths, position_m, params, axis, length):
-    """Direct double-loop evaluation of the plane-wave synthesis formula."""
-    fs = params.sample_rate_hz
-    h = np.zeros(length, dtype=complex)
-    for p in range(len(paths)):
-        tau = paths.delays_s[p] + position_m * float(paths.directions[p] @ axis) / C
-        rot = paths.amplitudes[p] * np.exp(-2j * np.pi * params.carrier_hz * tau)
-        for n in range(length):
-            h[n] += rot * np.sinc(params.bandwidth_hz * (n / fs - tau))
-    return h
 
 
 class TestValidation:
@@ -109,8 +101,8 @@ class TestDrawPaths:
         energies = []
         for _ in range(500):
             paths = draw_paths(params, rng)
-            cir = synthesize_cir(paths, 0.0, params)
-            energies.append(cir.energy)
+            taps = _synthesize_taps(paths, 0.0, params, X_AXIS, params.cir_length)
+            energies.append(float(np.sum(np.abs(taps) ** 2)))
         assert 0.9 <= np.mean(energies) <= 1.1
 
 
@@ -121,7 +113,7 @@ class TestSynthesizeCir:
         axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
         x = 0.0123
         length = 50
-        fast = synthesize_cir(paths, x, params, axis=axis, length=length).taps
+        fast = _synthesize_taps(paths, x, params, axis, length)
         slow = naive_taps(paths, x, params, axis, length)
         assert np.linalg.norm(fast - slow) < 1e-12 * np.linalg.norm(slow)
 
@@ -148,7 +140,7 @@ class TestSynthesizeCir:
         # Shifts of whole and fractional taps, pushing k below 0 and past Q.
         for shift_taps in (0.0, -3.0, 4.0, -0.25, 2.0 + 1e-10):
             x = shift_taps * C / fs
-            fast = synthesize_cir(paths, x, params, axis=axis, length=length).taps
+            fast = _synthesize_taps(paths, x, params, axis, length)
             slow = naive_taps(paths, x, params, axis, length)
             assert np.linalg.norm(fast - slow) < 1e-12 * np.linalg.norm(slow), shift_taps
 
@@ -164,25 +156,25 @@ class TestSynthesizeCir:
             np.array([[0.0, 0.0, 1.0]]),
             np.array([amp]),
         )
-        cir = synthesize_cir(paths, 0.0, params, length=64)
+        taps = _synthesize_taps(paths, 0.0, params, X_AXIS, 64)
         expected = amp * np.exp(-2j * np.pi * params.carrier_hz * tau)
-        assert abs(cir.taps[12] - expected) < 1e-9
-        others = np.delete(cir.taps, 12)
+        assert abs(taps[12] - expected) < 1e-9
+        others = np.delete(taps, 12)
         assert np.abs(others).max() < 1e-9
 
     def test_purity(self):
         params = small_params(n_paths=64)
         paths = draw_paths(params, np.random.default_rng(5))
-        a = synthesize_cir(paths, 0.0, params).taps
-        b = synthesize_cir(paths, 0.0, params).taps
+        a = _synthesize_taps(paths, 0.0, params, X_AXIS, params.cir_length)
+        b = _synthesize_taps(paths, 0.0, params, X_AXIS, params.cir_length)
         np.testing.assert_array_equal(a, b)
 
     def test_decorrelation_at_ten_wavelengths(self):
         params = small_params(n_paths=2000)
         paths = draw_paths(params, np.random.default_rng(6))
         lam = params.wavelength_m
-        h0 = synthesize_cir(paths, 0.0, params).taps
-        h1 = synthesize_cir(paths, 10 * lam, params).taps
+        h0 = _synthesize_taps(paths, 0.0, params, X_AXIS, params.cir_length)
+        h1 = _synthesize_taps(paths, 10 * lam, params, X_AXIS, params.cir_length)
         corr = abs(np.vdot(h0, h1)) / (np.linalg.norm(h0) * np.linalg.norm(h1))
         assert corr < 0.2
 
@@ -224,6 +216,12 @@ class TestBuildEnsemble:
             spec[0, 0, 0] = 1.0
         nfft = scipy.fft.next_fast_len(2 * ens.cir_length - 1)
         np.testing.assert_array_equal(spec, np.fft.fft(ens.cirs, nfft, axis=2))
+
+    def test_spectrum_length_is_scipy_next_fast_len(self):
+        # The smallest 2*3*5*7*11-smooth n >= 2L-1, as scipy defines it for
+        # complex input, so every spectrum keeps scipy's FFT length.
+        for length in range(1, 10_000):
+            assert _spectrum_length(length) == scipy.fft.next_fast_len(2 * length - 1), length
 
 
 class TestSpatialCorrelationTheory:
@@ -354,6 +352,15 @@ class TestEnsembleExport:
         path = tmp_path / "ensemble.txt"
         path.write_text('{"format": "trfocus-ensemble"}\n')
         with pytest.raises(ParameterError, match="malformed header"):
+            load_ensemble(path)
+        # A header with no antennas over an empty body is no ensemble.
+        import json
+
+        save_ensemble(self.make_small(), path, mode="binary")
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        header["n_tx"] = 0
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        with pytest.raises(ParameterError, match="n_tx"):
             load_ensemble(path)
 
     def test_unknown_mode_raises_parameter_error(self, tmp_path):

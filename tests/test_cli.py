@@ -171,22 +171,30 @@ class TestRunCommand:
 
     def test_oversized_grid_exits_2_without_allocating(self, tmp_path):
         # A 1 nm step gives 3e8 grid points: 2.2 GiB of positions alone and
-        # terabytes of taps.  The child runs under a 3 GiB address-space
+        # terabytes of taps.  A 1 s chirp, or a 1 PHz band with the default
+        # 1 us chirp, makes each sounding record 64 GiB or more of spectra
+        # on a one-point grid.  The child runs under a 3 GiB address-space
         # limit, so a missing size check fails the test instead of
         # exhausting the host's memory.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "trfocus", "run", "--preset", "sub6ghz",
-             "--grid-start", "0", "--grid-stop", "0.3", "--grid-step", "1e-9",
-             "--outdir", str(tmp_path / "bad")],
-            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"),
-            preexec_fn=limit_memory, timeout=120,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error:") and "budget" in proc.stderr
-        assert not (tmp_path / "bad").exists()
+        one_point = ["--grid-start", "0.1", "--grid-stop", "0.1", "--grid-step", "0.01"]
+        for args in (
+            ["--grid-start", "0", "--grid-stop", "0.3", "--grid-step", "1e-9"],
+            [*one_point, "--csi", "sounded", "--chirp-duration", "1"],
+            [*one_point, "--csi", "sounded", "--bandwidth", "1e15"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "trfocus", "run", "--preset", "sub6ghz", *args,
+                 "--outdir", str(tmp_path / "bad")],
+                capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"),
+                preexec_fn=limit_memory, timeout=120,
+            )
+            assert proc.returncode == 2, (args, proc.stderr)
+            assert proc.stderr.startswith("error:") and "budget" in proc.stderr, args
+            assert "Traceback" not in proc.stderr, args
+            assert not (tmp_path / "bad").exists()
 
     def test_non_finite_values_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -308,9 +316,10 @@ class TestPresetsCommand:
         assert listed["mmwave"]["bandwidth_hz"] == 2e9
 
     def test_import_leaves_scipy_signal_and_stats_unloaded(self):
+        modules = ("scipy.fft", "scipy.signal", "scipy.special", "scipy.stats")
         code = (
             "import sys, trfocus.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()

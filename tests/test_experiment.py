@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import trfocus.experiment as experiment
+from oracles import no_tr_power, sound_cirs_per_antenna
 from trfocus.channel import ChannelEnsemble, RxGrid, build_ensemble
 from trfocus.errors import (
     ConfigError,
@@ -25,37 +26,7 @@ from trfocus.experiment import (
     thread_count,
     write_outputs,
 )
-from trfocus.signalops import (
-    Waveform,
-    convolve,
-    inband_nmse_db,
-    wiener_deconvolve,
-)
-
-
-def sound_cirs_per_antenna(ensemble, rx_index, chirp_duration_s, sounding_snr_db, rng):
-    """Oracle for sound_cirs: time-domain convolution, then AWGN, then
-    wiener_deconvolve, one antenna at a time."""
-    params = ensemble.params
-    probe = experiment.gen_chirp(
-        params.bandwidth_hz, chirp_duration_s, params.sample_rate_hz, params.carrier_hz
-    )
-    gen = np.random.default_rng(rng)
-    estimates = []
-    for a in range(ensemble.n_tx):
-        cir = ensemble.cir(a, rx_index)
-        rx = convolve(probe, Waveform(cir.taps, cir.sample_rate_hz, cir.carrier_hz))
-        epsilon = None
-        if sounding_snr_db is not None:
-            power = float(np.mean(np.abs(rx.samples) ** 2))
-            sigma2 = power * 10.0 ** (-sounding_snr_db / 10.0)
-            noise = gen.standard_normal(len(rx)) + 1j * gen.standard_normal(len(rx))
-            rx = Waveform(rx.samples + np.sqrt(sigma2 / 2.0) * noise, rx.sample_rate_hz)
-            epsilon = sigma2 * len(rx)
-        estimates.append(
-            wiener_deconvolve(rx, probe, epsilon, cir_length=ensemble.cir_length)
-        )
-    return estimates
+from trfocus.signalops import Waveform, inband_nmse_db
 
 
 def outcome(fn, *args):
@@ -138,6 +109,13 @@ class TestScenarioConfig:
             build_ensemble(cavity, grid, 8, 0)
         with pytest.raises(ConfigError, match="budget"):
             _grid_positions(0.0, 0.30, 1e-9)
+        # Sounding with a 1 s chirp at 400 MS/s: 8 Tx x 2^29 bins x 16 bytes
+        # is 64 GiB of record spectra.
+        with pytest.raises(ParameterError, match="budget"):
+            config_from_preset("sub6ghz", csi_mode="sounded", chirp_duration_s=1.0)
+        ens = build_ensemble(cavity, RxGrid(np.array([0.0])), 8, 0)
+        with pytest.raises(ParameterError, match="budget"):
+            sound_cirs(ens, 0, 1.0, 30.0, 0)
 
     def test_thread_count_env(self, monkeypatch):
         monkeypatch.setenv("TRFOCUS_THREADS", "2")
@@ -342,6 +320,26 @@ class TestRunTrials:
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.temporal_power, b.temporal_power)
             assert a.report.to_dict() == b.report.to_dict()
+
+
+class TestNoTrBaseline:
+    @pytest.mark.parametrize("n_tx", [1, 8])
+    def test_parseval_matches_time_domain_oracle(self, n_tx):
+        config = config_from_preset("subthz", n_tx=n_tx, n_trials=2, seed=6)
+        fast = experiment._no_tr_mean_profile(config)
+        children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
+        slow = np.mean(
+            [
+                no_tr_power(
+                    build_ensemble(config.cavity, config.grid, n_tx, np.random.default_rng(c)),
+                    config.chirp_duration_s,
+                    config.tx_energy,
+                )
+                for c in children
+            ],
+            axis=0,
+        )
+        assert np.max(np.abs(fast - slow) / slow) <= 1e-12
 
 
 def read_csv(path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import convolved_sum
 from trfocus.channel import CavityParams, ChannelEnsemble, RxGrid, build_ensemble
 from trfocus.errors import DimensionMismatchError, InvalidTargetError
 from trfocus.link import focus_field, trdma_link
@@ -26,11 +27,6 @@ def ensemble_from_taps(taps, carrier_hz=10e9, bandwidth_hz=0.5e9, oversample=2):
     )
     grid = RxGrid(np.arange(n_rx) * 0.01)
     return ChannelEnsemble(cirs=taps, params=params, grid=grid, n_tx=n_tx)
-
-
-def convolved_sum(filters, cirs):
-    """Oracle: sum_a np.convolve(filters[a], cirs[a]) in the time domain."""
-    return sum(np.convolve(w, h) for w, h in zip(filters, cirs))
 
 
 def rich_params(n_paths=300, oversample=2, bandwidth_hz=0.5e9, carrier_hz=10e9):

@@ -1,23 +1,17 @@
-"""Unit and oracle tests for the sampled-signal primitives."""
+"""Unit tests for the sampled-signal primitives, and for the convolution
+and Wiener-deconvolution oracles that sounding is tested against."""
 
 import numpy as np
 import pytest
 
+from oracles import convolve, wiener_deconvolve
 from trfocus.errors import (
     AliasingError,
     DegenerateProbeError,
     IllConditionedError,
     ParameterError,
-    RateMismatchError,
 )
-from trfocus.signalops import (
-    Cir,
-    Waveform,
-    convolve,
-    gen_chirp,
-    inband_nmse_db,
-    wiener_deconvolve,
-)
+from trfocus.signalops import Cir, Waveform, gen_chirp, inband_nmse_db
 
 
 def nmse_db(est, ref):
@@ -138,12 +132,6 @@ class TestConvolve:
         ba = convolve(b, a).samples
         assert np.max(np.abs(ab - ba)) < 1e-12 * np.max(np.abs(ab))
 
-    def test_rate_mismatch(self):
-        a = Waveform(np.ones(4), 1.0)
-        b = Waveform(np.ones(4), 2.0)
-        with pytest.raises(RateMismatchError):
-            convolve(a, b)
-
 
 class TestWienerDeconvolve:
     def full_band_probe(self, n=512, rate=1.0):
@@ -216,9 +204,6 @@ class TestWienerDeconvolve:
         zero = Waveform(np.zeros(64), probe.sample_rate_hz, 1.0)
         with pytest.raises(DegenerateProbeError):
             wiener_deconvolve(probe, zero)
-        other_rate = Waveform(probe.samples, 2.0, 1.0)
-        with pytest.raises(RateMismatchError):
-            wiener_deconvolve(other_rate, probe)
         # A DC-only probe has exact spectral nulls off bin zero.
         dc = Waveform(np.ones(64), 1.0, 1.0)
         with pytest.raises(IllConditionedError):

@@ -170,13 +170,19 @@ def _spectrum_length(cir_length: int) -> int:
 
 
 def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
-    """Raise ParameterError when the CIRs and the spectrum of an ensemble
-    would exceed ENSEMBLE_BUDGET_BYTES."""
-    n_bytes = 16 * n_tx * n_rx * (cir_length + _spectrum_length(cir_length))
+    """Raise ParameterError when a dimension is below 1 or the CIRs and the
+    spectrum of an ensemble would exceed ENSEMBLE_BUDGET_BYTES."""
+    if min(n_tx, n_rx, cir_length) < 1:
+        raise ParameterError(f"n_tx, n_rx and cir_length must be >= 1: {n_tx, n_rx, cir_length}")
+    # The spectrum has at least 2L - 1 bins; that bound rejects a huge L
+    # before _spectrum_length enumerates the smooth numbers below it.
+    n_bytes = 16 * n_tx * n_rx * (3 * cir_length - 1)
+    if n_bytes <= ENSEMBLE_BUDGET_BYTES:
+        n_bytes = 16 * n_tx * n_rx * (cir_length + _spectrum_length(cir_length))
     if n_bytes > ENSEMBLE_BUDGET_BYTES:
         raise ParameterError(
-            f"an ensemble of {n_tx} x {n_rx} CIRs of {cir_length} taps needs "
-            f"{n_bytes / 2**30:.1f} GiB, over the {ENSEMBLE_BUDGET_BYTES / 2**30:g} GiB budget"
+            f"an ensemble of {n_tx} x {n_rx} CIRs of {cir_length} taps needs at least "
+            f"{n_bytes >> 20} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
         )
 
 
@@ -465,7 +471,7 @@ def load_ensemble(path) -> ChannelEnsemble:
         )
         shape = (int(header["n_tx"]), int(header["n_rx"]), int(header["cir_length"]))
         mode, seed = header["mode"], header["seed"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{path}: malformed header ({exc!r})") from exc
     if mode not in ("text", "binary"):
         raise ParameterError(f"{path}: unknown mode {mode!r}")

@@ -145,14 +145,18 @@ def _deconv_grid(n_received: int) -> int:
 def _check_sounding_size(
     n_tx: int, cir_length: int, chirp_duration_s: float, sample_rate_hz: float
 ) -> None:
-    """Raise ParameterError when the record spectra of sounding n_tx
-    antennas with this chirp would exceed ENSEMBLE_BUDGET_BYTES."""
+    """Raise ParameterError when the chirp duration is not positive and
+    finite or sounding n_tx antennas with it would exceed
+    ENSEMBLE_BUDGET_BYTES.  At its peak sound_cirs holds at most four
+    complex arrays of (n_tx + 1) x nfft values."""
+    if not (chirp_duration_s > 0 and math.isfinite(chirp_duration_s * sample_rate_hz)):
+        raise ParameterError(f"chirp_duration_s must be positive and finite: {chirp_duration_s}")
     n_record = round(chirp_duration_s * sample_rate_hz) + cir_length - 1
-    n_bytes = 16 * n_tx * _deconv_grid(max(n_record, 1))
+    n_bytes = 64 * (n_tx + 1) * _deconv_grid(max(n_record, 1))
     if n_bytes > ENSEMBLE_BUDGET_BYTES:
         raise ParameterError(
             f"sounding {n_tx} antennas with a {chirp_duration_s:g} s chirp needs "
-            f"{n_bytes / 2**30:.1f} GiB, over the {ENSEMBLE_BUDGET_BYTES / 2**30:g} GiB budget"
+            f"{n_bytes >> 20} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
         )
 
 

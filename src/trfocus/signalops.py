@@ -113,8 +113,8 @@ def gen_chirp(
     """
     if bandwidth_hz < 0:
         raise ParameterError("bandwidth_hz must be nonnegative")
-    if duration_s <= 0 or sample_rate_hz <= 0:
-        raise ParameterError("duration_s and sample_rate_hz must be positive")
+    if not (duration_s > 0 and sample_rate_hz > 0 and math.isfinite(duration_s * sample_rate_hz)):
+        raise ParameterError("duration_s and sample_rate_hz must be positive and finite")
     if sample_rate_hz < bandwidth_hz:
         raise AliasingError(
             f"sample rate {sample_rate_hz:g} Hz cannot represent a "

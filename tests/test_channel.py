@@ -362,6 +362,12 @@ class TestEnsembleExport:
         path.write_bytes(json.dumps(header).encode() + b"\n")
         with pytest.raises(ParameterError, match="n_tx"):
             load_ensemble(path)
+        # A huge or infinite CIR length is refused before any size search.
+        for cir_length, message in ((1e308, "budget"), (math.inf, "malformed header")):
+            header.update(n_tx=1, cir_length=cir_length)
+            path.write_bytes(json.dumps(header).encode() + b"\n")
+            with pytest.raises(ParameterError, match=message):
+                load_ensemble(path)
 
     def test_unknown_mode_raises_parameter_error(self, tmp_path):
         import json

@@ -116,6 +116,9 @@ class TestScenarioConfig:
         ens = build_ensemble(cavity, RxGrid(np.array([0.0])), 8, 0)
         with pytest.raises(ParameterError, match="budget"):
             sound_cirs(ens, 0, 1.0, 30.0, 0)
+        for duration in (math.inf, math.nan, 1e308, 0.0):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                sound_cirs(ens, 0, duration, 30.0, 0)
 
     def test_thread_count_env(self, monkeypatch):
         monkeypatch.setenv("TRFOCUS_THREADS", "2")

@@ -109,8 +109,8 @@ class TestScenarioConfig:
             build_ensemble(cavity, grid, 8, 0)
         with pytest.raises(ConfigError, match="budget"):
             _grid_positions(0.0, 0.30, 1e-9)
-        # Sounding with a 1 s chirp at 400 MS/s: 8 Tx x 2^29 bins x 16 bytes
-        # is 64 GiB of record spectra.
+        # Sounding with a 1 s chirp at 400 MS/s: four arrays of (8 + 1) x 2^29
+        # complex values are 288 GiB at the peak.
         with pytest.raises(ParameterError, match="budget"):
             config_from_preset("sub6ghz", csi_mode="sounded", chirp_duration_s=1.0)
         ens = build_ensemble(cavity, RxGrid(np.array([0.0])), 8, 0)

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError
+from .errors import DimensionMismatchError, InvalidTargetError, ParameterError
 from .signalops import Cir
 
 SPEED_OF_LIGHT_M_S = 299792458.0
@@ -210,6 +210,8 @@ class ChannelEnsemble:
             raise DimensionMismatchError("cirs must have shape (n_tx, n_rx, L)")
         if arr.shape[2] / self.params.sample_rate_hz < self.params.max_delay_s:
             raise ParameterError("CIR span shorter than max_delay_s")
+        if not np.isfinite(arr).all():
+            raise ParameterError("CIR taps must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "cirs", arr)
@@ -228,8 +230,15 @@ class ChannelEnsemble:
     def cir(self, tx: int, rx: int) -> Cir:
         return Cir(self.cirs[tx, rx], self.sample_rate_hz, self.params.carrier_hz)
 
+    def check_rx(self, rx: int) -> None:
+        """Raise InvalidTargetError unless rx is an integer index of a grid
+        position; numpy would read a negative one from the end."""
+        if not (isinstance(rx, (int, np.integer)) and 0 <= rx < len(self.grid)):
+            raise InvalidTargetError(f"grid index {rx!r} is not in range({len(self.grid)})")
+
     def cirs_at(self, rx: int) -> list[Cir]:
         """All per-antenna CIRs for one grid position."""
+        self.check_rx(rx)
         return [self.cir(a, rx) for a in range(self.n_tx)]
 
 
@@ -290,7 +299,8 @@ def _sinc_mix(coeff: np.ndarray, centers: np.ndarray, length: int, oversample: i
       [w.real; w.imag] weights gives the real and imaginary rows;
     - a path with |frac| < 1e-8 whose tap k lies in the branch gets an
       infinite denominator at k (reciprocal 0), and its exact
-      coeff * sinc(k - mu) is added to tap k instead.
+      coeff * sinc(k - mu) is added to tap k instead; a branch with no
+      such path skips that patch.
 
     The per-path factors of all branches are computed at once.  The GEMM
     sums in OpenBLAS's order, so the taps agree with a per-path sum to
@@ -307,6 +317,7 @@ def _sinc_mix(coeff: np.ndarray, centers: np.ndarray, length: int, oversample: i
     w = coeff * (sign * np.sin(np.pi * frac))
     weights = np.stack((w.real, w.imag), axis=1)  # (branch, 2, path)
     on_tap = np.abs(frac) < 1e-8
+    any_on_tap = on_tap.any(axis=1)  # most branches have no path on a tap
     lhs = np.ones((n_paths, 2))
     rhs = np.ones((2, n_rows))
     rhs[0] = np.arange(n_rows)
@@ -317,14 +328,15 @@ def _sinc_mix(coeff: np.ndarray, centers: np.ndarray, length: int, oversample: i
         recip = buf[: n_paths * n_q].reshape(n_paths, n_q)
         np.negative(mu[r], out=lhs[:, 1])
         np.matmul(lhs, rhs[:, :n_q], out=recip)  # q - mu
-        near = np.flatnonzero(on_tap[r] & (k[r] >= 0) & (k[r] < n_q))
-        taps = k[r, near].astype(np.int64)
-        recip[near, taps] = np.inf
+        if any_on_tap[r]:
+            near = np.flatnonzero(on_tap[r] & (k[r] >= 0) & (k[r] < n_q))
+            taps = k[r, near].astype(np.int64)
+            recip[near, taps] = np.inf
         np.reciprocal(recip, out=recip)
         re_im = weights[r] @ recip
         row = re_im[0] + 1j * re_im[1]
         row *= alternating[:n_q]
-        if near.size:
+        if any_on_tap[r]:
             np.add.at(row, taps, coeff[near] * np.sinc(taps - mu[r, near]))
         out[r::oversample] = row
     return out

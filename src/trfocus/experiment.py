@@ -25,6 +25,7 @@ from .channel import (
     CavityParams,
     ChannelEnsemble,
     RxGrid,
+    _spectrum_length,
     build_ensemble,
     check_ensemble_size,
 )
@@ -303,6 +304,7 @@ def sound_cirs(
     """
     if sounding_snr_db is not None and not math.isfinite(sounding_snr_db):
         raise ParameterError("sounding_snr_db must be finite; None means noiseless")
+    ensemble.check_rx(rx_index)
     params = ensemble.params
     _check_sounding_size(
         ensemble.n_tx, ensemble.cir_length, chirp_duration_s, params.sample_rate_hz
@@ -571,18 +573,24 @@ def run_experiment(config: ScenarioConfig) -> dict:
 FIGURE_IDS = ("fig2a", "fig2b", "fig3", "fig4")
 
 
+def _profile_ensemble(config: ScenarioConfig, seed_seq: np.random.SeedSequence) -> ChannelEnsemble:
+    """The fresh channel ensemble a profile trial draws from seed_seq."""
+    rng = np.random.default_rng(seed_seq)
+    return build_ensemble(config.cavity, config.grid, config.n_tx, rng)
+
+
+def _trial_mean(profiles: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean of the per-trial profiles, summed in trial order."""
+    acc = np.zeros(profiles[0].shape)
+    for profile in profiles:
+        acc += profile
+    return acc / len(profiles)
+
+
 def _mean_profile(config: ScenarioConfig, fn) -> np.ndarray:
     """Trial mean of the per-position profile fn(ensemble), one fresh
     channel ensemble per trial."""
-
-    def trial_profile(t: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
-        rng = np.random.default_rng(seed_seq)
-        return fn(build_ensemble(config.cavity, config.grid, config.n_tx, rng))
-
-    acc = np.zeros(len(config.grid.positions_m))
-    for profile in map_trials(config, trial_profile):
-        acc += profile
-    return acc / config.n_trials
+    return _trial_mean(map_trials(config, lambda t, s: fn(_profile_ensemble(config, s))))
 
 
 def _dual_target_mean_profile(config: ScenarioConfig, targets_m: Sequence[float]) -> np.ndarray:
@@ -601,15 +609,19 @@ def _dual_target_mean_profile(config: ScenarioConfig, targets_m: Sequence[float]
     return _mean_profile(config, power)
 
 
-def _no_tr_mean_profile(config: ScenarioConfig) -> np.ndarray:
-    """Mean received-strength profile when the emitted filter is the raw,
-    unreversed sounding chirp: no focusing instant exists, so the strength
-    at each position is the time-averaged received power.
+def _no_tr_power(config: ScenarioConfig) -> Callable[[ChannelEnsemble], np.ndarray]:
+    """The received strength per position of an ensemble when the emitted
+    filter is the raw, unreversed sounding chirp: no focusing instant
+    exists, so the strength is the time-averaged received power.
 
-    Every antenna emits the same chirp, so the record at a position is the
-    chirp convolved with the antenna-summed CIR.  By Parseval its energy
-    is sum_k |G_k|^2 |S_k|^2 / nfft, with G and S the spectra of that CIR
-    and of the chirp on the sounding grid."""
+    Every antenna emits the same chirp f, so the record at a position is f
+    convolved with the antenna-summed CIR g.  By Wiener-Khinchin its
+    energy is sum_m r_g[m] r_f[m]^* over the lags |m| < L where g's
+    autocorrelation r_g lives; on the ensemble's spectrum grid of M >= 2L-1
+    bins that is sum_k |G_k|^2 W_k / M, with G = sum_a spectrum[a] and W
+    the real DFT_M of r_f cut to those lags.  r_f comes from one FFT pair
+    on the sounding grid, built here once for every ensemble of the
+    config."""
     params = config.cavity
     probe = gen_chirp(
         params.bandwidth_hz,
@@ -618,15 +630,27 @@ def _no_tr_mean_profile(config: ScenarioConfig) -> np.ndarray:
         params.carrier_hz,
     )
     filt = probe.samples * math.sqrt(config.tx_energy / probe.energy)
-    n_out = params.cir_length + filt.size - 1
+    length = params.cir_length
+    n_out = length + filt.size - 1
     nfft = _deconv_grid(n_out)
-    filt_power = np.abs(np.fft.fft(filt, nfft)) ** 2
+    autocorr = np.fft.ifft(np.abs(np.fft.fft(filt, nfft)) ** 2)
+    # nfft >= L + len(f) - 1, so a lag |m| < L never aliases onto another
+    # lag of r_f; beyond len(f) - 1 it reads a zero of r_f.
+    lags = np.arange(1 - length, length)
+    n_bins = _spectrum_length(length)
+    window = np.zeros(n_bins, dtype=np.complex128)
+    window[lags % n_bins] = autocorr[lags % nfft]
+    weights = np.fft.fft(window).real
 
     def power(ensemble: ChannelEnsemble) -> np.ndarray:
-        spec = np.fft.fft(ensemble.cirs.sum(axis=0), nfft, axis=1)
-        return (np.abs(spec) ** 2 @ filt_power) / (nfft * n_out)
+        return (np.abs(ensemble.spectrum.sum(axis=0)) ** 2 @ weights) / (n_bins * n_out)
 
-    return _mean_profile(config, power)
+    return power
+
+
+def _no_tr_mean_profile(config: ScenarioConfig) -> np.ndarray:
+    """Trial mean of _no_tr_power, one fresh channel ensemble per trial."""
+    return _mean_profile(config, _no_tr_power(config))
 
 
 def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) -> dict:
@@ -681,14 +705,21 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
             config("subthz", f"fig4_tr_{label}", target_m=target)
             for label, target in (("neg", -0.0009), ("pos", 0.0009))
         ]
-        # Both targets are measured on each trial's one ensemble; each
-        # output set equals a run_experiment of its config alone.
-        runs = map_trials(configs[0], lambda t, seed_seq: run_trial(configs, t, seed_seq))
-        for i, fig4 in enumerate(configs):
-            write_outputs(fig4, [outputs[i] for outputs in runs], fig4.outdir)
-            run_files(fig4, "spatial_mean.csv")
         baseline = config("subthz", ".", target_m=0.0)
-        profile_csv("fig4_no_tr_spatial.csv", baseline, _no_tr_mean_profile(baseline))
+        no_tr_power = _no_tr_power(baseline)
+
+        # Both targets are measured on run_trial's one ensemble, so each
+        # output set equals a run_experiment of its config alone; the
+        # baseline's ensemble is the one _no_tr_mean_profile draws.
+        def trial(t: int, seed_seq: np.random.SeedSequence):
+            tr_outputs = run_trial(configs, t, seed_seq)
+            return tr_outputs, no_tr_power(_profile_ensemble(baseline, seed_seq))
+
+        runs = map_trials(baseline, trial)
+        for i, fig4 in enumerate(configs):
+            write_outputs(fig4, [outputs[i] for outputs, _ in runs], fig4.outdir)
+            run_files(fig4, "spatial_mean.csv")
+        profile_csv("fig4_no_tr_spatial.csv", baseline, _trial_mean([p for _, p in runs]))
 
     _write_json(out / f"{figure_id}_manifest.json", manifest)
     return manifest

@@ -29,7 +29,7 @@ from trfocus.channel import (
     save_ensemble,
     spatial_correlation_theory,
 )
-from trfocus.errors import DimensionMismatchError, ParameterError
+from trfocus.errors import DimensionMismatchError, InvalidTargetError, ParameterError
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 
@@ -217,6 +217,12 @@ class TestBuildEnsemble:
         nfft = scipy.fft.next_fast_len(2 * ens.cir_length - 1)
         np.testing.assert_array_equal(spec, np.fft.fft(ens.cirs, nfft, axis=2))
 
+    @pytest.mark.parametrize("rx", [-1, -3, 3, 99, 1.0])
+    def test_cirs_at_off_grid_raises_invalid_target(self, rx):
+        ens = build_ensemble(small_params(n_paths=16), RxGrid(np.array([0.0, 0.01, 0.02])), 2, 5)
+        with pytest.raises(InvalidTargetError, match="not in range"):
+            ens.cirs_at(rx)
+
     def test_spectrum_length_is_scipy_next_fast_len(self):
         # The smallest 2*3*5*7*11-smooth n >= 2L-1, as scipy defines it for
         # complex input, so every spectrum keeps scipy's FFT length.
@@ -389,6 +395,20 @@ class TestEnsembleExport:
         cut = data.rindex(b"\n", 0, len(data) - 1) if mode == "text" else len(data) - 16
         path.write_bytes(data[:cut])
         with pytest.raises(ParameterError, match="body does not hold"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_non_finite_tap_raises_parameter_error(self, tmp_path, mode):
+        path = tmp_path / "ensemble"
+        save_ensemble(self.make_small(), path, mode=mode)
+        header, body = path.read_bytes().split(b"\n", 1)
+        if mode == "text":
+            _, rest = body.split(b" ", 1)
+            body = b"nan " + rest
+        else:
+            body = body[:24] + np.array([np.inf]).tobytes() + body[32:]
+        path.write_bytes(header + b"\n" + body)
+        with pytest.raises(ParameterError, match="finite"):
             load_ensemble(path)
 
     def test_cir_split_over_two_lines_raises_parameter_error(self, tmp_path):

@@ -13,6 +13,7 @@ from trfocus.errors import (
     ConfigError,
     DegenerateProbeError,
     IllConditionedError,
+    InvalidTargetError,
     ParameterError,
 )
 from trfocus.experiment import (
@@ -26,7 +27,7 @@ from trfocus.experiment import (
     thread_count,
     write_outputs,
 )
-from trfocus.signalops import Waveform, inband_nmse_db
+from trfocus.signalops import Cir, Waveform, inband_nmse_db
 
 
 def outcome(fn, *args):
@@ -195,15 +196,25 @@ class TestSounding:
         err = np.linalg.norm(fast[live] - slow[live]) / np.linalg.norm(slow[live])
         assert err <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_taps_raise_parameter_error(self):
+        # No ensemble holds a non-finite tap, so sound_cirs never sees one;
+        # the oracle's per-antenna Cir rejects such taps the same way.
         config = self.small_config()
-        cirs = build_ensemble(config.cavity, config.grid, 2, 14).cirs.copy()
-        cirs[1, 1, 5] = np.nan
-        ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=2)
+        for bad in (np.nan, np.inf):
+            cirs = build_ensemble(config.cavity, config.grid, 2, 14).cirs.copy()
+            cirs[1, 1, 5] = bad
+            with pytest.raises(ParameterError, match="finite"):
+                ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=2)
+            with pytest.raises(ParameterError, match="finite"):
+                Cir(cirs[1, 1], config.cavity.sample_rate_hz, config.cavity.carrier_hz)
+
+    @pytest.mark.parametrize("rx", [-1, -3, 3, 99, 1.0])
+    def test_off_grid_index_raises_invalid_target(self, rx):
+        config = self.small_config()
+        ens = build_ensemble(config.cavity, config.grid, config.n_tx, 3)
         for snr_db in (None, 30.0):
-            assert outcome(sound_cirs, ens, 1, 1e-6, snr_db, 0) is ParameterError
-            assert outcome(sound_cirs_per_antenna, ens, 1, 1e-6, snr_db, 0) is ParameterError
+            with pytest.raises(InvalidTargetError, match="not in range"):
+                sound_cirs(ens, rx, 1e-6, snr_db, 0)
 
     @pytest.mark.parametrize(
         "probe_samples, error",
@@ -343,6 +354,36 @@ class TestNoTrBaseline:
             axis=0,
         )
         assert np.max(np.abs(fast - slow) / slow) <= 1e-12
+
+    @pytest.mark.parametrize("n_tx", [1, 8])
+    def test_chirp_shorter_than_cir_matches_time_domain_oracle(self, n_tx):
+        # A 10 ns chirp has 120 samples against L = 320 taps, so the
+        # sounding grid (512) is shorter than 2L - 1 and the lag window
+        # wraps on it.
+        config = config_from_preset(
+            "subthz", n_tx=n_tx, n_trials=1, seed=8, chirp_duration_s=1e-8
+        )
+        assert round(config.chirp_duration_s * config.cavity.sample_rate_hz) < (
+            config.cavity.cir_length
+        )
+        ens = build_ensemble(config.cavity, config.grid, n_tx, 8)
+        fast = experiment._no_tr_power(config)(ens)
+        slow = no_tr_power(ens, config.chirp_duration_s, config.tx_energy)
+        assert np.max(np.abs(fast - slow) / slow) <= 1e-12
+
+    def test_fig4_file_equals_standalone_profile(self, tmp_path):
+        # fig4 reads its baseline off the single trial loop; the file is
+        # the one _no_tr_mean_profile's campaign of its own writes.
+        experiment.reproduce("fig4", tmp_path / "fig4", seed=9, trials=3)
+        baseline = config_from_preset("subthz", n_trials=3, seed=9, target_m=0.0)
+        alone = tmp_path / "alone.csv"
+        experiment._write_csv(
+            alone,
+            "position_m,power_db",
+            baseline.grid.positions_m,
+            experiment._db_profile(experiment._no_tr_mean_profile(baseline)),
+        )
+        assert (tmp_path / "fig4" / "fig4_no_tr_spatial.csv").read_bytes() == alone.read_bytes()
 
 
 def read_csv(path):

@@ -388,10 +388,14 @@ def spatial_correlation_theory(
 ) -> float:
     """Field correlation of the diffuse model at lag delta_x_m.
 
-    Full sphere (aperture = pi): sin(k dx)/(k dx) with k = 2 pi / lambda.
-    Cone of half-angle theta_m < pi/2: 2 J1(k dx sin(theta_m)) / (k dx
-    sin(theta_m)).  Wide caps in [pi/2, pi) fall back to numerical
-    quadrature of the exact cap average of J0(k dx sin(theta)).
+    Arrival directions are uniform on the spherical cap of half-angle
+    theta_m about a boresight perpendicular to the lag, so the correlation
+    is the cap average of J0(k dx sin(theta)).  Full sphere (theta_m = pi):
+    sin(k dx)/(k dx) with k = 2 pi / lambda.  Other caps: composite
+    Gauss-Legendre quadrature on theta in [0, theta_m], with panels in
+    which k dx sin(theta) moves by at most 32 rad.  Narrow cones approach
+    the paraxial 2 J1(v)/v, v = k dx sin(theta_m); a hemisphere gives
+    sin(k dx)/(k dx) again.
     """
     if carrier_hz <= 0:
         raise ParameterError("carrier_hz must be positive")
@@ -404,19 +408,15 @@ def spatial_correlation_theory(
     theta_m = aperture_half_angle_rad
     if theta_m >= math.pi - 1e-12:
         return math.sin(z) / z
-    if theta_m < math.pi / 2:
-        from scipy.special import j1 as _bessel_j1
-
-        v = z * math.sin(theta_m)
-        return float(2.0 * _bessel_j1(v) / v)
-    # Exact cap average, Gauss-Legendre on theta in [0, theta_m].
     from scipy.special import j0 as _bessel_j0
 
-    nodes, weights = np.polynomial.legendre.leggauss(256)
-    theta = 0.5 * theta_m * (nodes + 1.0)
-    integrand = _bessel_j0(z * np.sin(theta)) * np.sin(theta)
-    integral = 0.5 * theta_m * float(np.dot(weights, integrand))
-    return integral / (1.0 - math.cos(theta_m))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    edges = np.linspace(0.0, theta_m, 2 + int(z * theta_m / 32.0))
+    half = 0.5 * np.diff(edges)[:, None]
+    theta = edges[:-1, None] + half * (nodes + 1.0)
+    integral = float(np.sum(half * weights * _bessel_j0(z * np.sin(theta)) * np.sin(theta)))
+    # 1 - cos(theta_m), without its cancellation for narrow cones.
+    return integral / (2.0 * math.sin(0.5 * theta_m) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ diffuse field), ``mmwave`` (36 GHz, 2 GHz bandwidth, 40 deg arrival cone)
 and ``subthz`` (273.6 GHz, 3 GHz bandwidth, 35 deg cone calibrated so the
 spatial focus width is about one wavelength).  Decay and delay spans are
 sized for >= 64 resolvable in-band taps; all randomness is derived from
-one root seed so runs are byte-reproducible at any thread count.
+one root seed so runs are byte-reproducible at any worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -162,8 +164,9 @@ def _check_sounding_size(
 
 
 def thread_count() -> int:
-    """Worker count for trial-level parallelism: TRFOCUS_THREADS, an
-    integer >= 1, when set; otherwise the CPU count, at most 4."""
+    """Most processes map_trials runs trials in, the caller included:
+    TRFOCUS_THREADS, an integer >= 1, when set; otherwise the CPU count,
+    at most 4."""
     cap = os.environ.get(THREADS_ENV_VAR)
     if cap is not None:
         try:
@@ -447,20 +450,121 @@ def run_trial(
     return [_measure_target(c, trial, ensemble, sounding_seq) for c in configs]
 
 
+def _fork_share(run_share: Callable[[int], list], w: int):
+    """(pid, read end of its pipe) of a forked worker that runs
+    run_share(w) and writes back the pickled outcome, (True, results) or
+    (False, exception); None when the pipe or the fork cannot be made."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn at a fork whenever the process has
+            # another OS thread, and OpenBLAS's pool is one.  That pool is
+            # fork-safe: numpy's OpenBLAS imports __register_atfork and
+            # exports blas_thread_shutdown_, so the pool is shut down before
+            # the fork and restarted on demand after it.
+            warnings.filterwarnings(
+                "ignore",
+                r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead "
+                r"to deadlocks in the child\.",
+                DeprecationWarning,
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        # The worker ends in os._exit whatever happens, so it never
+        # unwinds into the caller's stack.
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, run_share(w))
+            except Exception as exc:
+                outcome = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _reap(pid: int, kill: bool = False) -> None:
+    """Wait for a forked worker, after a SIGKILL when kill is set."""
+    try:
+        if kill:
+            import signal  # about 1 ms of import, paid on this path only
+
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ChildProcessError, ProcessLookupError):
+        pass  # already reaped, as when SIGCHLD is ignored
+
+
+def _read_outcome(pipe) -> tuple | None:
+    """The outcome a worker piped back, or None when it ended without a
+    readable payload: killed, or its outcome could not be pickled."""
+    with pipe:
+        data = pipe.read()
+    try:
+        return pickle.loads(data)
+    except Exception:  # truncated or empty; loads raises several types
+        return None
+
+
 def map_trials(
     config: ScenarioConfig, fn: Callable[[int, np.random.SeedSequence], object]
 ) -> list:
     """fn(t, seed_seq) for every trial t, returned in trial order.
 
     Trial t always receives child t of SeedSequence(config.seed), so the
-    results do not depend on the worker count (see thread_count).
+    results do not depend on the worker count W = min(thread_count(),
+    n_trials).  W - 1 forked workers run trials w, w + W, ... for w >= 1
+    and pipe back their pickled results, while the caller runs trials
+    0, W, 2W, ... itself.  A worker's exception is re-raised here.  A
+    share whose worker could not be forked, or returned no readable
+    payload, is rerun by the caller; a trial depends only on its seed, so
+    the results are the same.  Without os.fork, or with another Python
+    thread running, the trials run serially.
     """
-    children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
-    workers = thread_count()
-    if workers == 1 or config.n_trials == 1:
-        return [fn(t, children[t]) for t in range(config.n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(config.n_trials), children))
+    n_trials = config.n_trials
+    children = np.random.SeedSequence(config.seed).spawn(n_trials)
+    n_workers = min(thread_count(), n_trials)
+    if n_workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(t, children[t]) for t in range(n_trials)]
+
+    def run_share(w: int) -> list:
+        return [fn(t, children[t]) for t in range(w, n_trials, n_workers)]
+
+    forked = {}
+    try:
+        for w in range(1, n_workers):
+            worker = _fork_share(run_share, w)
+            if worker is not None:
+                forked[w] = worker
+        shares = [run_share(0)]
+        for w in range(1, n_workers):
+            outcome = None
+            if w in forked:
+                outcome = _read_outcome(forked[w][1])
+                _reap(forked.pop(w)[0])
+            ok, value = outcome if outcome is not None else (True, run_share(w))
+            if not ok:
+                raise value
+            shares.append(value)
+    finally:
+        for pid, pipe in forked.values():
+            pipe.close()
+            _reap(pid, kill=True)
+    results = [None] * n_trials
+    for w, share in enumerate(shares):
+        results[w::n_workers] = share
+    return results
 
 
 def run_trials(config: ScenarioConfig) -> list[TrialOutput]:

@@ -111,11 +111,21 @@ def focusing_gain(
     return 10.0 * math.log10(peak / mean_bg)
 
 
+def _ratio_db(power: float, other: float) -> float:
+    """10 log10(power / other): +inf when other is 0, -inf when the ratio
+    is 0 (no power over a nonzero other)."""
+    if other == 0.0:
+        return math.inf
+    ratio = power / other
+    return 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
+
+
 def sir(trdma: TrdmaResult) -> np.ndarray:
     """Per-user signal-to-interference ratio in dB at the focusing instant.
 
-    SIR_u = |rx[u,u,L-1]|^2 / sum_{v != u} |rx[v,u,L-1]|^2. A zero
-    interference denominator yields the +inf sentinel.
+    SIR_u = |rx[u,u,L-1]|^2 / sum_{v != u} |rx[v,u,L-1]|^2.  Zero
+    interference yields the +inf sentinel, and a zero signal under nonzero
+    interference -inf.
     """
     n_users = trdma.n_users
     if n_users < 2:
@@ -125,7 +135,7 @@ def sir(trdma: TrdmaResult) -> np.ndarray:
     for u in range(n_users):
         signal = at_peak[u, u]
         interference = float(at_peak[:, u].sum() - signal)
-        out[u] = math.inf if interference == 0.0 else 10.0 * math.log10(signal / interference)
+        out[u] = _ratio_db(signal, interference)
     return out
 
 
@@ -133,7 +143,8 @@ def isi_ratio(trdma: TrdmaResult) -> np.ndarray:
     """Per-user peak power over summed own-stream power at other symbol
     instants (multiples of the symbol period away from the peak), in dB.
 
-    +inf sentinel when no other symbol instant falls inside the record.
+    +inf sentinel when the leak is zero, as when no other symbol instant
+    falls inside the record; -inf when the peak is zero but the leak is not.
     """
     n_users = trdma.n_users
     peak_n = trdma.peak_index
@@ -152,7 +163,7 @@ def isi_ratio(trdma: TrdmaResult) -> np.ndarray:
         own = np.abs(trdma.per_user_rx[u, u]) ** 2
         peak = float(own[peak_n])
         leak = float(own[offsets].sum()) if offsets else 0.0
-        out[u] = math.inf if leak == 0.0 else 10.0 * math.log10(peak / leak)
+        out[u] = _ratio_db(peak, leak)
     return out
 
 

@@ -250,14 +250,44 @@ class TestSpatialCorrelationTheory:
         half = brentq(f, lam / 8, lam / 2)
         assert 2 * half == pytest.approx(0.443 * lam, rel=5e-3)
 
-    def test_cone_matches_jinc(self):
+    def test_cone_matches_drawn_directions(self):
+        # The model's field correlation is the mean of exp(j k dx u.d) over
+        # the arrival directions draw_paths makes; 200k of them give a
+        # standard error below 0.0016.  The paraxial 2 J1(v)/v misses it by
+        # 0.016 and 0.028 at the two longer lags.
+        fc, theta = 36e9, math.radians(40.0)
+        params = small_params(carrier_hz=fc, aperture_half_angle_rad=theta, n_paths=200_000)
+        along = draw_paths(params, 3, boresight=[0.0, 0.0, 1.0]).directions[:, 0]
+        k = 2 * math.pi * fc / C
+        for dx in (0.002, 0.004, 0.008):
+            drawn = float(np.mean(np.cos(k * dx * along)))
+            assert spatial_correlation_theory(dx, fc, theta) == pytest.approx(drawn, abs=0.006)
+
+    @pytest.mark.parametrize("lag_wavelengths", [0.1, 0.3, 0.7, 3.3, 40.0])
+    def test_narrow_cone_approaches_jinc(self, lag_wavelengths):
+        # sin(theta) of a cone of half-angle 1 mrad is near-uniform on the
+        # projected disc, whose average of J0 is 2 J1(v)/v.
         from scipy.special import j1
 
-        fc, theta = 36e9, math.radians(40.0)
-        dx = 0.004
+        fc, theta = 10e9, 1e-3
+        dx = lag_wavelengths * C / fc
         v = (2 * math.pi * fc / C) * dx * math.sin(theta)
         expected = 2 * j1(v) / v
-        assert spatial_correlation_theory(dx, fc, theta) == pytest.approx(expected)
+        assert spatial_correlation_theory(dx, fc, theta) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("lag_wavelengths", [0.1, 0.3, 0.7, 3.3, 40.0])
+    def test_continuous_across_90_degrees(self, lag_wavelengths):
+        # A hemisphere averages J0(z sin(theta)) sin(theta) to sin(z)/z,
+        # and the apertures on either side of it stay within 1e-8.
+        fc = 10e9
+        dx = lag_wavelengths * C / fc
+        z = 2 * math.pi * fc / C * dx
+        at = spatial_correlation_theory(dx, fc, math.pi / 2)
+        assert at == pytest.approx(math.sin(z) / z, abs=1e-14)
+        for eps in (1e-9, 1e-6):
+            below = spatial_correlation_theory(dx, fc, math.pi / 2 - eps)
+            above = spatial_correlation_theory(dx, fc, math.pi / 2 + eps)
+            assert abs(below - at) <= 4 * eps and abs(above - at) <= 4 * eps
 
     def test_wide_cap_quadrature_approaches_sphere(self):
         fc = 10e9

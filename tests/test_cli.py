@@ -327,6 +327,20 @@ class TestPresetsCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_leaves_process_pools_unloaded(self):
+        # The trial workers are bare forks; concurrent.futures alone costs
+        # about 8 ms of import.
+        modules = ("concurrent.futures", "multiprocessing")
+        code = (
+            "import sys, trfocus.cli; "
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "trfocus", "presets"],

@@ -1,13 +1,21 @@
 """Tests for scenario configuration, sounding and the campaign runner."""
 
+import errno
 import json
 import math
+import os
+import shutil
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import trfocus.cli as cli
 import trfocus.experiment as experiment
 from oracles import no_tr_power, sound_cirs_per_antenna
+from test_cli import tree_bytes
 from trfocus.channel import ChannelEnsemble, RxGrid, build_ensemble
 from trfocus.errors import (
     ConfigError,
@@ -22,6 +30,7 @@ from trfocus.experiment import (
     ScenarioConfig,
     _grid_positions,
     config_from_preset,
+    map_trials,
     run_trials,
     sound_cirs,
     thread_count,
@@ -334,6 +343,143 @@ class TestRunTrials:
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.temporal_power, b.temporal_power)
             assert a.report.to_dict() == b.report.to_dict()
+
+
+def seeded_trial(t, seed_seq):
+    """A cheap trial: its index and the first words of its seed's stream."""
+    return t, seed_seq.generate_state(4).tolist()
+
+
+def serial(n_trials, seed, fn=seeded_trial):
+    return [fn(t, s) for t, s in enumerate(np.random.SeedSequence(seed).spawn(n_trials))]
+
+
+class TestMapTrials:
+    """map_trials forks W - 1 workers, W = min(thread_count(), n_trials);
+    the caller runs trials 0, W, 2W, ... and reaps every worker."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def campaign(monkeypatch, workers, n_trials=5, seed=21):
+        monkeypatch.setenv("TRFOCUS_THREADS", str(workers))
+        return config_from_preset("subthz", n_trials=n_trials, seed=seed)
+
+    @pytest.mark.parametrize("n_trials", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_results_equal_serial_in_trial_order(self, monkeypatch, workers, n_trials):
+        config = self.campaign(monkeypatch, workers, n_trials)
+        assert map_trials(config, seeded_trial) == serial(n_trials, config.seed)
+
+    def test_fig4_closure_outputs_equal_serial(self, monkeypatch, tmp_path):
+        out = tmp_path / "fig4"
+        trees = []
+        for workers in ("1", "2", "3", "4"):
+            monkeypatch.setenv("TRFOCUS_THREADS", workers)
+            experiment.reproduce("fig4", out, seed=2, trials=5)
+            trees.append(tree_bytes(out))
+            shutil.rmtree(out)
+        assert trees[0] and all(tree == trees[0] for tree in trees[1:])
+
+    def test_caller_runs_trial_0(self, monkeypatch):
+        config = self.campaign(monkeypatch, 2, n_trials=4)
+        pids = map_trials(config, lambda t, s: os.getpid())
+        assert pids[0] == pids[2] == os.getpid()
+        assert pids[1] == pids[3] != os.getpid()
+
+    def test_worker_error_is_reraised(self, monkeypatch):
+        config = self.campaign(monkeypatch, 2, n_trials=4)
+        caller = os.getpid()
+
+        def fn(t, seed_seq):
+            if os.getpid() != caller:
+                raise ConfigError(f"trial {t} failed in a worker")
+            return t
+
+        with pytest.raises(ConfigError, match="^trial 1 failed in a worker$"):
+            map_trials(config, fn)
+
+    def test_worker_error_exits_2_through_cli(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("TRFOCUS_THREADS", "2")
+        run_trial = experiment.run_trial
+
+        def failing_trial(configs, t, seed_seq):
+            if t == 1:
+                raise ConfigError("trial 1 cannot run")
+            return run_trial(configs, t, seed_seq)
+
+        monkeypatch.setattr(experiment, "run_trial", failing_trial)
+        code = cli.main(["run", "--preset", "subthz", "--trials", "3",
+                         "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: trial 1 cannot run\n"
+
+    def test_killed_worker_share_is_rerun(self, monkeypatch):
+        config = self.campaign(monkeypatch, 3, n_trials=7)
+        caller = os.getpid()
+
+        def fn(t, seed_seq):
+            if os.getpid() != caller and t == 4:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return seeded_trial(t, seed_seq)
+
+        assert map_trials(config, fn) == serial(7, config.seed)
+
+    def test_unpicklable_share_is_rerun(self, monkeypatch):
+        config = self.campaign(monkeypatch, 2, n_trials=4)
+        caller = os.getpid()
+
+        def fn(t, seed_seq):
+            worker_only = (lambda: t) if os.getpid() != caller else None
+            return seeded_trial(t, seed_seq), worker_only
+
+        assert map_trials(config, fn) == serial(4, config.seed, fn)
+
+    def test_failed_fork_runs_share_in_caller(self, monkeypatch):
+        config = self.campaign(monkeypatch, 3, n_trials=5)
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        pids = map_trials(config, lambda t, s: (seeded_trial(t, s), os.getpid()))
+        assert pids == [(trial, os.getpid()) for trial in serial(5, config.seed)]
+
+    def test_caller_error_kills_workers(self, monkeypatch):
+        config = self.campaign(monkeypatch, 3, n_trials=3)
+        caller = os.getpid()
+
+        def fn(t, seed_seq):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise ConfigError("the caller's share failed")
+
+        start = time.monotonic()
+        with pytest.raises(ConfigError, match="caller's share"):
+            map_trials(config, fn)
+        assert time.monotonic() - start < 30
+
+    def test_serial_without_fork_or_with_threads(self, monkeypatch):
+        config = self.campaign(monkeypatch, 3, n_trials=4)
+
+        def fn(t, s):
+            return os.getpid()
+
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert map_trials(config, fn) == [os.getpid()] * 4
+        finally:
+            release.set()
+            other.join()
+        monkeypatch.delattr(os, "fork")
+        assert map_trials(config, fn) == [os.getpid()] * 4
 
 
 class TestNoTrBaseline:

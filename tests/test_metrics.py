@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from trfocus.channel import RxGrid, build_ensemble
 from trfocus.errors import (
@@ -47,6 +48,66 @@ class TestTemporalFwhm:
         y = np.sinc(bandwidth * (n / fs - 512 / fs))
         measured = temporal_fwhm(y, fs)
         assert measured == pytest.approx(0.886 / bandwidth, rel=0.02)
+
+    @staticmethod
+    def assert_within_interpolation_bound(y, fs, exact, p1, p2):
+        # temporal_fwhm interpolates the power linearly between the two
+        # samples that bracket each half-power crossing.  On a bracket of
+        # width h that moves the crossing by at most
+        # (h^2 / 8) max|p''| / min|p'|, so the width by twice that.
+        h = 1.0 / fs
+        bound = 0.0
+        for crossing in (-exact / 2, exact / 2):
+            lo = math.floor(crossing * fs) * h
+            t = np.linspace(lo, lo + h, 1001)
+            bound += h**2 / 8 * np.max(np.abs(p2(t))) / np.min(np.abs(p1(t)))
+        measured = temporal_fwhm(y, fs)
+        assert abs(measured - exact) <= bound + 1e-12 * exact
+        return bound / exact
+
+    @pytest.mark.parametrize("samples_per_width", [4, 16, 256])
+    def test_gaussian_width_is_exact(self, samples_per_width):
+        # |y|^2 = exp(-a t^2) with a = 4 ln 2 / W^2 halves at t = +-W/2.
+        width = 2e-9
+        fs = samples_per_width / width
+        a = 4 * math.log(2) / width**2
+        t = (np.arange(4 * samples_per_width + 1) - 2 * samples_per_width) / fs
+        rel = self.assert_within_interpolation_bound(
+            np.exp(-a * t**2 / 2),
+            fs,
+            width,
+            lambda t: -2 * a * t * np.exp(-a * t**2),
+            lambda t: (4 * a**2 * t**2 - 2 * a) * np.exp(-a * t**2),
+        )
+        assert rel <= 1.0 / samples_per_width**2
+
+    @pytest.mark.parametrize("oversample", [4, 16, 128])
+    def test_sinc_squared_width_is_exact(self, oversample):
+        # sinc(x)^2 = 1/2 at x = +-0.4429..., so the width is 0.8859/B.
+        # s = sinc solves x s'' + 2 s' + pi^2 x s = 0, which gives s''.
+        bandwidth = 100e6
+        fs = oversample * bandwidth
+        exact = 2 * brentq(lambda x: np.sinc(x) ** 2 - 0.5, 0.1, 0.9) / bandwidth
+
+        def s01(t):
+            x = bandwidth * t
+            s = np.sinc(x)
+            d1 = (np.cos(np.pi * x) - s) / x
+            return s, d1, -2 * d1 / x - np.pi**2 * s
+
+        def p1(t):
+            s, d1, _ = s01(t)
+            return 2 * s * d1 * bandwidth
+
+        def p2(t):
+            s, d1, d2 = s01(t)
+            return 2 * (d1**2 + s * d2) * bandwidth**2
+
+        n = np.arange(-8 * oversample, 8 * oversample + 1)
+        rel = self.assert_within_interpolation_bound(
+            np.sinc(bandwidth * n / fs), fs, exact, p1, p2
+        )
+        assert rel <= 1.0 / oversample**2
 
     def test_plateau_tie_break(self):
         y = np.sqrt(np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
@@ -183,6 +244,23 @@ class TestSirAndIsi:
         res = trdma_link(banks, twin, [0, 1], symbol_period_samples=8)
         vals = sir(res)
         np.testing.assert_allclose(vals, [0.0, 0.0], atol=1e-9)
+
+    def test_zero_signal_gives_minus_inf_sir(self):
+        # Each user's own stream is 0 at the peak, the other user's is not.
+        rx = np.zeros((2, 2, 7), dtype=complex)
+        rx[1, 0, 3] = rx[0, 1, 3] = 1.0
+        vals = sir(TrdmaResult(rx, 2, 3, 1.0))
+        assert np.all(vals == -np.inf)
+        rx[0, 0, 3] = 1e-200  # the ratio 1e-400 underflows to 0
+        rx[1, 0, 3] = 1e10
+        assert sir(TrdmaResult(rx, 2, 3, 1.0))[0] == -np.inf
+
+    def test_zero_peak_gives_minus_inf_isi_ratio(self):
+        rx = np.zeros((2, 2, 7), dtype=complex)
+        rx[0, 0, 1] = 1.0  # leak one symbol period before an empty peak
+        rx[1, 1, 3] = 1.0
+        vals = isi_ratio(TrdmaResult(rx, 2, 3, 1.0))
+        assert vals[0] == -np.inf and vals[1] == np.inf
 
     def test_needs_two_users(self):
         length = 8

@@ -63,9 +63,10 @@ class PathSet:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        delays = np.asarray(self.delays_s, dtype=np.float64)
-        dirs = np.asarray(self.directions, dtype=np.float64)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        # np.array copies, so freezing these leaves the caller's arrays writable.
+        delays = np.array(self.delays_s, dtype=np.float64)
+        dirs = np.array(self.directions, dtype=np.float64)
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         if delays.ndim != 1 or delays.size == 0:
             raise ParameterError("a path set needs at least one path")
         if dirs.shape != (delays.size, 3):
@@ -366,8 +367,6 @@ def build_ensemble(
     One independent path set is drawn per Tx antenna, sequentially from
     the given seed, so a fixed seed reproduces the ensemble bit-exactly.
     """
-    if n_tx < 1:
-        raise ParameterError("n_tx must be a positive integer")
     length = params.cir_length
     check_ensemble_size(n_tx, len(grid), length)
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None

@@ -57,6 +57,9 @@ THREADS_ENV_VAR = "TRFOCUS_THREADS"
 # until the output files are written.
 MAX_TRIALS = 100_000
 
+# Most processes TRFOCUS_THREADS may ask map_trials to run trials in.
+MAX_WORKERS = 64
+
 # Delay-window and decay sizing shared by all presets, in units of 1/B:
 # the window holds 72 resolvable taps and the power decay constant 64.
 _SPAN_TAPS = 72
@@ -165,16 +168,16 @@ def _check_sounding_size(
 
 def thread_count() -> int:
     """Most processes map_trials runs trials in, the caller included:
-    TRFOCUS_THREADS, an integer >= 1, when set; otherwise the CPU count,
-    at most 4."""
+    TRFOCUS_THREADS, an integer in [1, MAX_WORKERS], when set; otherwise
+    the CPU count, at most 4."""
     cap = os.environ.get(THREADS_ENV_VAR)
     if cap is not None:
         try:
             workers = int(cap)
         except ValueError as exc:
             raise ConfigError(f"{THREADS_ENV_VAR} must be an integer") from exc
-        if workers < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {workers}")
+        if not 1 <= workers <= MAX_WORKERS:
+            raise ConfigError(f"{THREADS_ENV_VAR} must lie in [1, {MAX_WORKERS}], got {workers}")
         return workers
     return min(4, os.cpu_count() or 1)
 
@@ -201,16 +204,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if not 1 <= self.n_trials <= MAX_TRIALS:
             raise ConfigError(f"n_trials must lie in [1, {MAX_TRIALS}]")
-        if self.n_tx < 1:
-            raise ConfigError("n_tx must be >= 1")
         check_ensemble_size(self.n_tx, len(self.grid), self.cavity.cir_length)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.csi_mode not in ("perfect", "sounded"):
             raise ConfigError("csi mode must be 'perfect' or 'sounded'")
         if self.csi_mode == "sounded":
-            if not (math.isfinite(self.chirp_duration_s) and self.chirp_duration_s > 0):
-                raise ConfigError("chirp_duration_s must be positive and finite")
             _check_sounding_size(
                 self.n_tx, self.cavity.cir_length, self.chirp_duration_s,
                 self.cavity.sample_rate_hz,
@@ -444,9 +443,7 @@ def run_trial(
     """
     channel_seq, sounding_seq = seed_seq.spawn(2)
     first = configs[0]
-    ensemble = build_ensemble(
-        first.cavity, first.grid, first.n_tx, np.random.default_rng(channel_seq)
-    )
+    ensemble = build_ensemble(first.cavity, first.grid, first.n_tx, channel_seq)
     return [_measure_target(c, trial, ensemble, sounding_seq) for c in configs]
 
 
@@ -677,12 +674,6 @@ def run_experiment(config: ScenarioConfig) -> dict:
 FIGURE_IDS = ("fig2a", "fig2b", "fig3", "fig4")
 
 
-def _profile_ensemble(config: ScenarioConfig, seed_seq: np.random.SeedSequence) -> ChannelEnsemble:
-    """The fresh channel ensemble a profile trial draws from seed_seq."""
-    rng = np.random.default_rng(seed_seq)
-    return build_ensemble(config.cavity, config.grid, config.n_tx, rng)
-
-
 def _trial_mean(profiles: Sequence[np.ndarray]) -> np.ndarray:
     """Mean of the per-trial profiles, summed in trial order."""
     acc = np.zeros(profiles[0].shape)
@@ -694,7 +685,8 @@ def _trial_mean(profiles: Sequence[np.ndarray]) -> np.ndarray:
 def _mean_profile(config: ScenarioConfig, fn) -> np.ndarray:
     """Trial mean of the per-position profile fn(ensemble), one fresh
     channel ensemble per trial."""
-    return _trial_mean(map_trials(config, lambda t, s: fn(_profile_ensemble(config, s))))
+    cavity, grid, n_tx = config.cavity, config.grid, config.n_tx
+    return _trial_mean(map_trials(config, lambda t, s: fn(build_ensemble(cavity, grid, n_tx, s))))
 
 
 def _dual_target_mean_profile(config: ScenarioConfig, targets_m: Sequence[float]) -> np.ndarray:
@@ -750,11 +742,6 @@ def _no_tr_power(config: ScenarioConfig) -> Callable[[ChannelEnsemble], np.ndarr
         return (np.abs(ensemble.spectrum.sum(axis=0)) ** 2 @ weights) / (n_bins * n_out)
 
     return power
-
-
-def _no_tr_mean_profile(config: ScenarioConfig) -> np.ndarray:
-    """Trial mean of _no_tr_power, one fresh channel ensemble per trial."""
-    return _mean_profile(config, _no_tr_power(config))
 
 
 def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) -> dict:
@@ -814,10 +801,11 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
 
         # Both targets are measured on run_trial's one ensemble, so each
         # output set equals a run_experiment of its config alone; the
-        # baseline's ensemble is the one _no_tr_mean_profile draws.
+        # baseline's ensemble is the one _mean_profile draws for trial t.
         def trial(t: int, seed_seq: np.random.SeedSequence):
             tr_outputs = run_trial(configs, t, seed_seq)
-            return tr_outputs, no_tr_power(_profile_ensemble(baseline, seed_seq))
+            ensemble = build_ensemble(baseline.cavity, baseline.grid, baseline.n_tx, seed_seq)
+            return tr_outputs, no_tr_power(ensemble)
 
         runs = map_trials(baseline, trial)
         for i, fig4 in enumerate(configs):

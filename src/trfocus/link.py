@@ -46,7 +46,6 @@ class TrdmaResult:
     per_user_rx: np.ndarray  # complex, shape (U, U, 2L-1)
     symbol_period_samples: int
     peak_index: int
-    sample_rate_hz: float
 
     def __post_init__(self):
         arr = np.asarray(self.per_user_rx, dtype=np.complex128)
@@ -126,6 +125,5 @@ def trdma_link(
         per_user_rx=table,
         symbol_period_samples=int(symbol_period_samples),
         peak_index=length - 1,
-        sample_rate_hz=ensemble.sample_rate_hz,
     )
 

@@ -55,7 +55,6 @@ def temporal_fwhm(y, sample_rate_hz: float) -> float:
 
 @dataclass(frozen=True)
 class SpatialProfile:
-    positions_m: np.ndarray
     power_db: np.ndarray  # normalized to the spatial peak
     fwhm_m: float
 
@@ -72,34 +71,24 @@ def spatial_profile(field: SpaceTimeField, peak_time_index: int) -> SpatialProfi
     power = np.abs(field.field[:, peak_time_index]) ** 2
     fwhm = _half_power_width(power, field.positions_m)
     norm = np.maximum(power, _POWER_FLOOR) / max(power.max(), _POWER_FLOOR)
-    return SpatialProfile(
-        positions_m=field.positions_m,
-        power_db=10.0 * np.log10(norm),
-        fwhm_m=fwhm,
-    )
+    return SpatialProfile(power_db=10.0 * np.log10(norm), fwhm_m=fwhm)
 
 
-def focusing_gain(
-    field: SpaceTimeField,
-    target_index: int,
-    guard_samples: int | None = None,
-) -> float:
+def focusing_gain(field: SpaceTimeField, target_index: int) -> float:
     """Peak power at the target over the mean off-target background, in dB.
 
     Background: every sample whose spatial index differs from the target
-    and whose time offset from the target's peak exceeds the guard
-    (default 2 * oversample samples).
+    and whose time offset from the target's peak exceeds the guard of
+    2 * oversample samples.
     """
     n_rx, n_time = field.field.shape
     if not 0 <= target_index < n_rx:
         raise ParameterError("target_index outside the grid")
-    if guard_samples is None:
-        guard_samples = 2 * field.oversample
     power = np.abs(field.field) ** 2
     target_row = power[target_index]
     peak_n = int(np.argmax(target_row))
     peak = float(target_row[peak_n])
-    time_mask = np.abs(np.arange(n_time) - peak_n) > guard_samples
+    time_mask = np.abs(np.arange(n_time) - peak_n) > 2 * field.oversample
     row_mask = np.ones(n_rx, dtype=bool)
     row_mask[target_index] = False
     background = power[np.ix_(row_mask, time_mask)]

@@ -17,7 +17,7 @@ from .errors import DegenerateChannelError, DimensionMismatchError, ParameterErr
 from .signalops import Cir
 
 
-def _stack_cirs(cirs: Sequence[Cir]) -> tuple[np.ndarray, float]:
+def _stack_cirs(cirs: Sequence[Cir]) -> np.ndarray:
     if len(cirs) == 0:
         raise ParameterError("need at least one CIR")
     length = len(cirs[0])
@@ -27,7 +27,7 @@ def _stack_cirs(cirs: Sequence[Cir]) -> tuple[np.ndarray, float]:
             raise DimensionMismatchError("CIR tap counts differ across antennas")
         if c.sample_rate_hz != rate:
             raise DimensionMismatchError("CIR sample rates differ across antennas")
-    return np.stack([c.taps for c in cirs]), rate
+    return np.stack([c.taps for c in cirs])
 
 
 def _joint_scale(taps: np.ndarray, total_energy: float) -> float:
@@ -45,7 +45,6 @@ class TrFilterBank:
 
     filters: np.ndarray  # complex, shape (n_tx, L)
     total_energy: float
-    sample_rate_hz: float
 
     def __post_init__(self):
         arr = np.asarray(self.filters, dtype=np.complex128)
@@ -64,45 +63,31 @@ class TrFilterBank:
         return self.filters.shape[1]
 
 
-@dataclass(frozen=True)
-class MrtWeights:
-    """Per-(antenna, bin) conjugate channel weights."""
-
-    weights: np.ndarray  # complex, shape (n_tx, n_bins)
-    n_bins: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.weights, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[1] != self.n_bins:
-            raise DimensionMismatchError("weights must have shape (n_tx, n_bins)")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
-
-
 def tr_filters(cirs: Sequence[Cir], total_energy: float = 1.0) -> TrFilterBank:
     """Build TR filters w_a[n] = conj(h_a[L-1-n]) / c.
 
     c = sqrt(sum_a ||h_a||^2 / total_energy), so the bank's summed filter
     energy equals total_energy exactly.
     """
-    taps, rate = _stack_cirs(cirs)
+    taps = _stack_cirs(cirs)
     scale = _joint_scale(taps, total_energy)
-    return TrFilterBank(np.conj(taps[:, ::-1]) / scale, total_energy, rate)
+    return TrFilterBank(np.conj(taps[:, ::-1]) / scale, total_energy)
 
 
-def mrt_weights(cirs: Sequence[Cir], n_bins: int, total_energy: float = 1.0) -> MrtWeights:
-    """Conjugate per-bin weights W_a[k] = conj(H_a[k]) / c.
+def mrt_weights(cirs: Sequence[Cir], n_bins: int, total_energy: float = 1.0) -> np.ndarray:
+    """Conjugate per-bin weights W_a[k] = conj(H_a[k]) / c, as a read-only
+    complex array of shape (n_tx, n_bins).
 
     Uses the same joint normalization constant as :func:`tr_filters`, so
     by Parseval the bank and the weights carry the same total energy.
     """
-    taps, _ = _stack_cirs(cirs)
+    taps = _stack_cirs(cirs)
     if n_bins < taps.shape[1]:
         raise ParameterError("n_bins must be at least the CIR length")
     scale = _joint_scale(taps, total_energy)
-    spectra = np.fft.fft(taps, n_bins, axis=1)
-    return MrtWeights(np.conj(spectra) / scale, n_bins)
+    weights = np.conj(np.fft.fft(taps, n_bins, axis=1)) / scale
+    weights.setflags(write=False)
+    return weights
 
 
 def equivalence_residual(bank: TrFilterBank, cirs: Sequence[Cir]) -> float:
@@ -114,13 +99,13 @@ def equivalence_residual(bank: TrFilterBank, cirs: Sequence[Cir]) -> float:
     residual max ||W_tr| - |W_mrt||, both relative to max |W_mrt|.
     Exact TR banks built from the same CIRs give < 1e-10.
     """
-    taps, _ = _stack_cirs(cirs)
+    taps = _stack_cirs(cirs)
     if taps.shape[0] != bank.n_tx or taps.shape[1] != bank.filter_length:
         raise DimensionMismatchError("bank and CIR dimensions differ")
     length = bank.filter_length
     n_bins = 2 * length - 1
     w_tr = np.fft.fft(bank.filters, n_bins, axis=1)
-    w_mrt = mrt_weights(cirs, n_bins, bank.total_energy).weights
+    w_mrt = mrt_weights(cirs, n_bins, bank.total_energy)
     ref = float(np.max(np.abs(w_mrt)))
     if ref == 0.0:
         raise DegenerateChannelError("all CIRs are zero")

@@ -56,10 +56,6 @@ class Waveform:
     def energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2))
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class Cir:
@@ -88,10 +84,6 @@ class Cir:
 
     def __len__(self) -> int:
         return self.taps.size
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.taps) ** 2))
 
 
 def gen_chirp(

@@ -71,6 +71,13 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             PathSet(np.array([0.0]), np.eye(3), np.array([1.0 + 0j]))
 
+    def test_pathset_copies_instead_of_freezing_caller_arrays(self):
+        given = (np.array([0.0, 1e-9]), np.tile([0.0, 0.0, 1.0], (2, 1)), np.ones(2, complex))
+        paths = PathSet(*given)
+        stored = (paths.delays_s, paths.directions, paths.amplitudes)
+        for mine, its in zip(given, stored):
+            assert mine.flags.writeable and not its.flags.writeable
+
 
 class TestDrawPaths:
     def test_seeded_reproducibility(self):

@@ -163,6 +163,9 @@ class TestRunCommand:
             ("--preset", "subthz", "--trials", "1000000000"),
             ("--preset", "subthz", "--seed", "-1"),
             ("--preset", "subthz", "--users", "0.0"),
+            ("--preset", "subthz", "--nt", "0"),
+            ("--preset", "subthz", "--csi", "sounded", "--chirp-duration", "0"),
+            ("--preset", "subthz", "--csi", "sounded", "--chirp-duration", "nan"),
         ]
         for args in bad_args:
             assert run_cli("run", *args, "--outdir", tmp_path / "bad") == 2, args
@@ -203,7 +206,7 @@ class TestRunCommand:
             assert run_cli("run", *args, "--outdir", tmp_path / "bad") == 2, args
             assert capsys.readouterr().err.startswith("error:"), args
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("threads", ["0", "-3", "100000"])
     def test_non_positive_thread_count_exits_2(self, threads, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TRFOCUS_THREADS", threads)
         code = run_cli("run", "--preset", "subthz", "--trials", "2",

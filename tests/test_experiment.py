@@ -26,6 +26,7 @@ from trfocus.errors import (
 )
 from trfocus.experiment import (
     MAX_TRIALS,
+    MAX_WORKERS,
     PRESETS,
     ScenarioConfig,
     _grid_positions,
@@ -133,7 +134,7 @@ class TestScenarioConfig:
     def test_thread_count_env(self, monkeypatch):
         monkeypatch.setenv("TRFOCUS_THREADS", "2")
         assert thread_count() == 2
-        for bad in ("zero", "0", "-3"):
+        for bad in ("zero", "0", "-3", str(MAX_WORKERS + 1)):
             monkeypatch.setenv("TRFOCUS_THREADS", bad)
             with pytest.raises(ConfigError):
                 thread_count()
@@ -486,7 +487,7 @@ class TestNoTrBaseline:
     @pytest.mark.parametrize("n_tx", [1, 8])
     def test_parseval_matches_time_domain_oracle(self, n_tx):
         config = config_from_preset("subthz", n_tx=n_tx, n_trials=2, seed=6)
-        fast = experiment._no_tr_mean_profile(config)
+        fast = experiment._mean_profile(config, experiment._no_tr_power(config))
         children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
         slow = np.mean(
             [
@@ -519,7 +520,7 @@ class TestNoTrBaseline:
 
     def test_fig4_file_equals_standalone_profile(self, tmp_path):
         # fig4 reads its baseline off the single trial loop; the file is
-        # the one _no_tr_mean_profile's campaign of its own writes.
+        # the one a _mean_profile campaign of its own writes.
         experiment.reproduce("fig4", tmp_path / "fig4", seed=9, trials=3)
         baseline = config_from_preset("subthz", n_trials=3, seed=9, target_m=0.0)
         alone = tmp_path / "alone.csv"
@@ -527,7 +528,9 @@ class TestNoTrBaseline:
             alone,
             "position_m,power_db",
             baseline.grid.positions_m,
-            experiment._db_profile(experiment._no_tr_mean_profile(baseline)),
+            experiment._db_profile(
+                experiment._mean_profile(baseline, experiment._no_tr_power(baseline))
+            ),
         )
         assert (tmp_path / "fig4" / "fig4_no_tr_spatial.csv").read_bytes() == alone.read_bytes()
 

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import convolved_sum
 from trfocus.channel import CavityParams, ChannelEnsemble, RxGrid, build_ensemble
@@ -157,3 +160,33 @@ class TestTrdmaLink:
                 wins += 1
         assert wins >= 0.95 * n_real
 
+
+@st.composite
+def peak_cases(draw):
+    """(taps of shape (n_tx, n_rx, L), target x0, total energy E)."""
+    n_tx, n_rx, length = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 64))
+    parts = draw(
+        hnp.arrays(
+            np.float64,
+            (n_tx, n_rx, length, 2),
+            elements=st.floats(-1.0, 1.0, allow_subnormal=False),
+        )
+    )
+    taps = parts[..., 0] + 1j * parts[..., 1]
+    return taps, draw(st.integers(0, n_rx - 1)), draw(st.floats(0.25, 4.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=peak_cases())
+def test_tr_peak_identity_property(case):
+    # Criterion 5 allows 1e-9 relative; the FFT propagation keeps the
+    # focusing sample within 1e-12 of sqrt(E * sum_a ||h_a||^2).
+    taps, x0, e_tx = case
+    energy = float(np.sum(np.abs(taps[:, x0]) ** 2))
+    assume(energy > 1e-200)  # a squared tap may underflow; all-zero CIRs have no bank
+    ens = ensemble_from_taps(taps)
+    peak = focus_field(tr_filters(ens.cirs_at(x0), e_tx), ens).field[x0, ens.cir_length - 1]
+    expected = math.sqrt(e_tx * energy)
+    assert peak.real > 0
+    assert abs(peak.real - expected) <= 1e-12 * expected
+    assert abs(peak.imag) <= 1e-12 * expected

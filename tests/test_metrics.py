@@ -223,7 +223,6 @@ class TestSirAndIsi:
             per_user_rx=rx,
             symbol_period_samples=8,
             peak_index=length - 1,
-            sample_rate_hz=1.0,
         )
 
     def test_orthogonal_channels_have_infinite_sir(self):
@@ -249,23 +248,23 @@ class TestSirAndIsi:
         # Each user's own stream is 0 at the peak, the other user's is not.
         rx = np.zeros((2, 2, 7), dtype=complex)
         rx[1, 0, 3] = rx[0, 1, 3] = 1.0
-        vals = sir(TrdmaResult(rx, 2, 3, 1.0))
+        vals = sir(TrdmaResult(rx, 2, 3))
         assert np.all(vals == -np.inf)
         rx[0, 0, 3] = 1e-200  # the ratio 1e-400 underflows to 0
         rx[1, 0, 3] = 1e10
-        assert sir(TrdmaResult(rx, 2, 3, 1.0))[0] == -np.inf
+        assert sir(TrdmaResult(rx, 2, 3))[0] == -np.inf
 
     def test_zero_peak_gives_minus_inf_isi_ratio(self):
         rx = np.zeros((2, 2, 7), dtype=complex)
         rx[0, 0, 1] = 1.0  # leak one symbol period before an empty peak
         rx[1, 1, 3] = 1.0
-        vals = isi_ratio(TrdmaResult(rx, 2, 3, 1.0))
+        vals = isi_ratio(TrdmaResult(rx, 2, 3))
         assert vals[0] == -np.inf and vals[1] == np.inf
 
     def test_needs_two_users(self):
         length = 8
         rx = np.ones((1, 1, 2 * length - 1), dtype=complex)
-        res = TrdmaResult(rx, 4, length - 1, 1.0)
+        res = TrdmaResult(rx, 4, length - 1)
         with pytest.raises(ParameterError):
             sir(res)
 
@@ -276,7 +275,7 @@ class TestSirAndIsi:
         rx[0, 0, length - 1 + 8] = 1.0  # one symbol period later
         rx[0, 0, length - 1 - 8] = 1.0  # one earlier
         rx[1, 1, length - 1] = 1.0
-        res = TrdmaResult(rx, 8, length - 1, 1.0)
+        res = TrdmaResult(rx, 8, length - 1)
         vals = isi_ratio(res)
         assert vals[0] == pytest.approx(10 * math.log10(4.0 / 2.0))
         assert np.isinf(vals[1])

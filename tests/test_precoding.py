@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trfocus.errors import (
     DegenerateChannelError,
@@ -75,14 +78,15 @@ class TestMrtWeights:
     def test_flat_channel_gives_constant_magnitude(self):
         taps = np.zeros(8, dtype=complex)
         taps[0] = 1.0
-        w = mrt_weights([Cir(taps, 1.0, 1.0)], n_bins=16).weights[0]
+        w = mrt_weights([Cir(taps, 1.0, 1.0)], n_bins=16)[0]
         np.testing.assert_allclose(np.abs(w), np.abs(w[0]), rtol=1e-12)
 
     def test_conjugation_makes_product_real_nonnegative(self):
         rng = np.random.default_rng(4)
         cirs = random_cirs(rng, 2, 10)
         n_bins = 32
-        w = mrt_weights(cirs, n_bins).weights
+        w = mrt_weights(cirs, n_bins)
+        assert not w.flags.writeable
         for a, cir in enumerate(cirs):
             spectrum = np.fft.fft(cir.taps, n_bins)
             product = w[a] * spectrum
@@ -93,7 +97,7 @@ class TestMrtWeights:
         rng = np.random.default_rng(5)
         cirs = random_cirs(rng, 3, 10)
         n_bins = 32
-        w = mrt_weights(cirs, n_bins).weights
+        w = mrt_weights(cirs, n_bins)
         spectra = np.stack([np.fft.fft(c.taps, n_bins) for c in cirs])
         ratio = np.abs(w) / np.abs(spectra)
         assert np.max(np.abs(ratio - ratio[0, 0])) < 1e-12
@@ -127,7 +131,7 @@ class TestEquivalenceResidual:
         filters[0, 5] *= 1.10
         from trfocus.precoding import TrFilterBank
 
-        broken = TrFilterBank(filters, bank.total_energy, bank.sample_rate_hz)
+        broken = TrFilterBank(filters, bank.total_energy)
         assert equivalence_residual(broken, cirs) > 1e-3
 
     def test_dimension_mismatch(self):
@@ -156,3 +160,21 @@ class TestPeakOptimality:
         competitors *= np.sqrt(e_tx) / norms
         peaks = np.abs(np.einsum("dan,an->d", competitors, flipped))
         assert np.all(peaks <= tr_peak + 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parts=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(1, 64), st.just(2)),
+        elements=st.floats(-1.0, 1.0, allow_subnormal=False),
+    ),
+    e_tx=st.floats(0.25, 4.0),
+)
+def test_joint_normalization_property(parts, e_tx):
+    # The bank's summed filter energy is total_energy to 1e-12 relative,
+    # tighter than criterion 5's 1e-9.
+    taps = parts[..., 0] + 1j * parts[..., 1]
+    assume(np.sum(np.abs(taps) ** 2) > 1e-200)  # all-zero CIRs have no bank
+    bank = tr_filters([Cir(row, 1.0, 1.0) for row in taps], total_energy=e_tx)
+    assert abs(np.sum(np.abs(bank.filters) ** 2) - e_tx) <= 1e-12 * e_tx

@@ -187,6 +187,16 @@ def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
         )
 
 
+def _is_index(value, size: int) -> bool:
+    """True for an int or numpy integer in range(size), not a bool: numpy
+    would read a negative index from the end and a bool as 0 or 1."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and 0 <= value < size
+    )
+
+
 @dataclass(frozen=True)
 class ChannelEnsemble:
     """CIRs indexed by (tx antenna, rx grid position) for one realization.
@@ -233,8 +243,8 @@ class ChannelEnsemble:
 
     def check_rx(self, rx: int) -> None:
         """Raise InvalidTargetError unless rx is an integer index of a grid
-        position; numpy would read a negative one from the end."""
-        if not (isinstance(rx, (int, np.integer)) and 0 <= rx < len(self.grid)):
+        position."""
+        if not _is_index(rx, len(self.grid)):
             raise InvalidTargetError(f"grid index {rx!r} is not in range({len(self.grid)})")
 
     def cirs_at(self, rx: int) -> list[Cir]:
@@ -423,6 +433,10 @@ def spatial_correlation_theory(
 
 _FORMAT_NAME = "trfocus-ensemble"
 
+# A text line may spend at most this many bytes per value, separators and
+# line end included; repr of a float64 takes at most 24 characters.
+_TEXT_BYTES_PER_VALUE = 32
+
 
 def save_ensemble(ensemble: ChannelEnsemble, path, mode: str = "text") -> None:
     """Write an ensemble to disk: one JSON header line, then the taps.
@@ -459,50 +473,72 @@ def save_ensemble(ensemble: ChannelEnsemble, path, mode: str = "text") -> None:
             fh.write(np.ascontiguousarray(ensemble.cirs, dtype="<c16").tobytes())
 
 
+def _text_lines(fh, n_rows: int, max_line_bytes: int):
+    """Yield the n_rows lines of a text body, decoded, for np.loadtxt.
+
+    Raise ValueError for a missing or blank line, which loadtxt would skip,
+    and for data past the last line.  A line over max_line_bytes is read in
+    pieces, so it comes out as one line too many or a blank or ragged one.
+    """
+    for k in range(n_rows):
+        text = fh.readline(max_line_bytes).decode("utf-8")
+        if not text or text.isspace():
+            raise ValueError(f"line {k + 1} of the body is missing or blank")
+        yield text
+    if fh.read(1):
+        raise ValueError(f"the body has more than {n_rows} lines")
+
+
 def load_ensemble(path) -> ChannelEnsemble:
     """Inverse of :func:`save_ensemble`.
 
-    A malformed header or a body that does not hold n_tx * n_rx *
-    cir_length taps raises ParameterError.
+    A malformed header, or a body that does not hold n_tx * n_rx
+    cir_length-tap CIRs (one per line in text mode), raises ParameterError.
+    The body is read only as far as the header's shape allows.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        body = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except ValueError as exc:  # also UnicodeDecodeError
-        raise ParameterError(f"{path}: header is not JSON") from exc
-    if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
-        raise ParameterError(f"{path} is not a {_FORMAT_NAME} file")
-    try:
-        params = CavityParams(**header["params"])
-        grid = RxGrid(
-            positions_m=np.array(header["grid"]["positions_m"], dtype=np.float64),
-            axis=np.array(header["grid"]["axis"], dtype=np.float64),
-        )
-        shape = (int(header["n_tx"]), int(header["n_rx"]), int(header["cir_length"]))
-        mode, seed = header["mode"], header["seed"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"{path}: malformed header ({exc!r})") from exc
-    if mode not in ("text", "binary"):
-        raise ParameterError(f"{path}: unknown mode {mode!r}")
-    check_ensemble_size(*shape)
-    try:
-        if mode == "text":
-            # One CIR per line; ragged lines make np.array raise ValueError.
-            values = np.array(
-                [
-                    np.fromiter(map(float, line.split()), np.float64)
-                    for line in body.decode("utf-8").splitlines()
-                ]
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise ParameterError(f"{path}: header is not JSON") from exc
+        if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
+            raise ParameterError(f"{path} is not a {_FORMAT_NAME} file")
+        try:
+            params = CavityParams(**header["params"])
+            grid = RxGrid(
+                positions_m=np.array(header["grid"]["positions_m"], dtype=np.float64),
+                axis=np.array(header["grid"]["axis"], dtype=np.float64),
             )
-            if values.shape != (shape[0] * shape[1], 2 * shape[2]):
-                raise ValueError(f"text body of shape {values.shape}")
-            cirs = values.view(np.complex128).reshape(shape)
-        else:
-            cirs = np.frombuffer(body, dtype="<c16").reshape(shape).astype(np.complex128)
-    except ValueError as exc:
-        raise ParameterError(
-            f"{path}: body does not hold {shape[0]}x{shape[1]}x{shape[2]} taps"
-        ) from exc
+            shape = (header["n_tx"], header["n_rx"], header["cir_length"])
+            mode, seed = header["mode"], header["seed"]
+            if not all(type(n) is int for n in shape):
+                raise TypeError(f"n_tx, n_rx and cir_length {shape} must be JSON integers")
+            if seed is not None and not (type(seed) is int and seed >= 0):
+                raise TypeError(f"seed {seed!r} must be an integer >= 0 or null")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"{path}: malformed header ({exc!r})") from exc
+        if mode not in ("text", "binary"):
+            raise ParameterError(f"{path}: unknown mode {mode!r}")
+        check_ensemble_size(*shape)
+        n_rows, n_values = shape[0] * shape[1], 2 * shape[2]
+        try:
+            if mode == "text":
+                values = np.loadtxt(
+                    _text_lines(fh, n_rows, n_values * _TEXT_BYTES_PER_VALUE),
+                    dtype=np.float64,
+                    comments=None,
+                    ndmin=2,
+                )
+                if values.shape != (n_rows, n_values):
+                    raise ValueError(f"text body of shape {values.shape}")
+                cirs = values.view(np.complex128).reshape(shape)
+            else:
+                # Read-only over the body; ChannelEnsemble makes the one copy.
+                body = fh.read(n_rows * n_values * 8 + 1)
+                cirs = np.frombuffer(body, dtype="<c16").reshape(shape)
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise ParameterError(
+                f"{path}: body does not hold {shape[0]}x{shape[1]}x{shape[2]} taps"
+            ) from exc
     return ChannelEnsemble(cirs=cirs, params=params, grid=grid, n_tx=shape[0], seed=seed)

@@ -105,19 +105,17 @@ def trdma_link(
     n_users = len(banks)
     if n_users != len(targets):
         raise DimensionMismatchError("one target index per bank required")
-    if len(set(int(t) for t in targets)) != n_users:
+    for t in targets:
+        ensemble.check_rx(t)
+    if len(set(targets)) != n_users:
         raise InvalidTargetError("TRDMA targets must be distinct grid indices")
     if symbol_period_samples < 1:
         raise ParameterError("symbol_period_samples must be >= 1")
-    n_rx = len(ensemble.grid)
-    for t in targets:
-        if not 0 <= int(t) < n_rx:
-            raise InvalidTargetError(f"target index {t} outside the grid")
     length = ensemble.cir_length
     for bank in banks:
         if bank.filter_length != length or bank.n_tx != ensemble.n_tx:
             raise DimensionMismatchError("bank dimensions differ from ensemble")
-    target_spectra = ensemble.spectrum[:, [int(t) for t in targets], :]  # (n_tx, U, nfft)
+    target_spectra = ensemble.spectrum[:, list(targets), :]  # (n_tx, U, nfft)
     table = np.empty((n_users, n_users, 2 * length - 1), dtype=np.complex128)
     for v, bank in enumerate(banks):
         table[v] = _bank_through_channel(bank, target_spectra)

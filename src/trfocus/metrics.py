@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _is_index
 from .errors import DegenerateBackgroundError, EdgePeakError, ParameterError
 from .link import SpaceTimeField, TrdmaResult
 
@@ -66,8 +67,9 @@ def spatial_profile(field: SpaceTimeField, peak_time_index: int) -> SpatialProfi
     interpolated half-power rule as the temporal metric, in meters.
     A peak on the first or last grid position raises EdgePeakError.
     """
-    if not 0 <= peak_time_index < field.field.shape[1]:
-        raise ParameterError("peak_time_index outside the record")
+    n_time = field.field.shape[1]
+    if not _is_index(peak_time_index, n_time):
+        raise ParameterError(f"peak_time_index {peak_time_index!r} is not in range({n_time})")
     power = np.abs(field.field[:, peak_time_index]) ** 2
     fwhm = _half_power_width(power, field.positions_m)
     norm = np.maximum(power, _POWER_FLOOR) / max(power.max(), _POWER_FLOOR)
@@ -82,8 +84,8 @@ def focusing_gain(field: SpaceTimeField, target_index: int) -> float:
     2 * oversample samples.
     """
     n_rx, n_time = field.field.shape
-    if not 0 <= target_index < n_rx:
-        raise ParameterError("target_index outside the grid")
+    if not _is_index(target_index, n_rx):
+        raise ParameterError(f"target_index {target_index!r} is not in range({n_rx})")
     power = np.abs(field.field) ** 2
     target_row = power[target_index]
     peak_n = int(np.argmax(target_row))

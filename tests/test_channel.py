@@ -224,7 +224,7 @@ class TestBuildEnsemble:
         nfft = scipy.fft.next_fast_len(2 * ens.cir_length - 1)
         np.testing.assert_array_equal(spec, np.fft.fft(ens.cirs, nfft, axis=2))
 
-    @pytest.mark.parametrize("rx", [-1, -3, 3, 99, 1.0])
+    @pytest.mark.parametrize("rx", [-1, -3, 3, 99, 1.0, True, np.True_])
     def test_cirs_at_off_grid_raises_invalid_target(self, rx):
         ens = build_ensemble(small_params(n_paths=16), RxGrid(np.array([0.0, 0.01, 0.02])), 2, 5)
         with pytest.raises(InvalidTargetError, match="not in range"):
@@ -405,12 +405,37 @@ class TestEnsembleExport:
         path.write_bytes(json.dumps(header).encode() + b"\n")
         with pytest.raises(ParameterError, match="n_tx"):
             load_ensemble(path)
-        # A huge or infinite CIR length is refused before any size search.
-        for cir_length, message in ((1e308, "budget"), (math.inf, "malformed header")):
-            header.update(n_tx=1, cir_length=cir_length)
-            path.write_bytes(json.dumps(header).encode() + b"\n")
-            with pytest.raises(ParameterError, match=message):
+        # A huge CIR length is refused before any size search.
+        header.update(n_tx=1, cir_length=10**308)
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        with pytest.raises(ParameterError, match="budget"):
+            load_ensemble(path)
+        # Dimensions must be JSON integers, and the seed an integer >= 0 or
+        # null.  int() would coerce or truncate most of these to a shape
+        # that fits the body.
+        ens = build_ensemble(self.make_small().params, RxGrid(np.array([0.0, 0.004])), 1, 9)
+        save_ensemble(ens, path, mode="binary")
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        wrong_types = [
+            ("n_tx", True),
+            ("n_tx", 1.0),
+            ("n_rx", "2"),
+            ("cir_length", str(ens.cir_length)),
+            ("cir_length", ens.cir_length + 0.5),
+            ("cir_length", 1e308),
+            ("cir_length", math.inf),
+            ("seed", "abc"),
+            ("seed", -1),
+            ("seed", 9.0),
+            ("seed", True),
+        ]
+        for key, value in wrong_types:
+            path.write_bytes(json.dumps({**header, key: value}).encode() + b"\n" + body)
+            with pytest.raises(ParameterError, match="malformed header"):
                 load_ensemble(path)
+        path.write_bytes(json.dumps({**header, "seed": None}).encode() + b"\n" + body)
+        assert load_ensemble(path).seed is None
 
     def test_unknown_mode_raises_parameter_error(self, tmp_path):
         import json
@@ -459,6 +484,53 @@ class TestEnsembleExport:
         )
         with pytest.raises(ParameterError, match="body does not hold"):
             load_ensemble(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda first, rest: [first, b""] + rest, id="blank-line"),
+            pytest.param(lambda first, rest: [first, b" \t "] + rest, id="whitespace-line"),
+            pytest.param(lambda first, rest: [b" "] * (1 + len(rest)), id="blank-body"),
+            pytest.param(lambda first, rest: [first + b" # 1.0"] + rest, id="hash-token"),
+            pytest.param(
+                lambda first, rest: [first.replace(b" ", b"\xa0", 1)] + rest, id="bad-utf8"
+            ),
+            pytest.param(
+                lambda first, rest: [first.rsplit(b" ", 1)[0]] + rest, id="one-value-short"
+            ),
+            pytest.param(lambda first, rest: [first] + rest + [first], id="extra-cir-line"),
+            pytest.param(
+                lambda first, rest: [first + b" " * 32 * len(first.split())] + rest,
+                id="overlong-line",
+            ),
+        ],
+    )
+    def test_malformed_text_body_raises_parameter_error(self, tmp_path, corrupt):
+        # np.loadtxt alone would skip the blank and whitespace-only lines,
+        # and warns when no line is left; 0xa0 is whitespace in Latin-1 but
+        # no character in UTF-8.
+        path = tmp_path / "ensemble.txt"
+        save_ensemble(self.make_small(), path, mode="text")
+        header, first, *rest = path.read_bytes().split(b"\n")[:-1]
+        path.write_bytes(b"\n".join([header, *corrupt(first, rest)]) + b"\n")
+        with pytest.raises(ParameterError, match="body does not hold"):
+            load_ensemble(path)
+
+    def test_binary_body_past_the_taps_raises_parameter_error(self, tmp_path):
+        path = tmp_path / "ensemble.bin"
+        save_ensemble(self.make_small(), path, mode="binary")
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ParameterError, match="body does not hold"):
+            load_ensemble(path)
+
+    def test_crlf_text_body_loads_bit_exact(self, tmp_path):
+        ens = self.make_small()
+        path = tmp_path / "ensemble.txt"
+        save_ensemble(ens, path, mode="text")
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        np.testing.assert_array_equal(
+            load_ensemble(path).cirs.view(np.int64), ens.cirs.view(np.int64)
+        )
 
     def test_header_is_json_first_line(self, tmp_path):
         import json

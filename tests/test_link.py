@@ -142,6 +142,15 @@ class TestTrdmaLink:
         with pytest.raises(InvalidTargetError):
             trdma_link([bank, bank], ens, [0, 0], symbol_period_samples=8)
 
+    @pytest.mark.parametrize("targets", [[0.5, 1.2], [True, 0], [-1, 0], [0, 2], [0, 1.0]])
+    def test_non_index_targets_rejected(self, targets):
+        # int() would truncate the floats and read True as grid point 1.
+        params = rich_params(n_paths=50)
+        ens = build_ensemble(params, RxGrid(np.array([0.0, 0.02])), 1, 9)
+        bank = tr_filters(ens.cirs_at(0), 1.0)
+        with pytest.raises(InvalidTargetError, match="not in range"):
+            trdma_link([bank, bank], ens, targets, symbol_period_samples=8)
+
     def test_intended_peak_beats_interference(self):
         # Two users >= 2 lambda apart: the own-stream focusing-instant
         # power exceeds the cross-stream power in >= 95% of realizations.

@@ -159,6 +159,12 @@ class TestSpatialProfile:
         assert b.fwhm_m == pytest.approx(a.fwhm_m, rel=1e-12)
         np.testing.assert_allclose(b.power_db, a.power_db, atol=1e-9)
 
+    @pytest.mark.parametrize("index", [10.5, 10.0, True, -1, 40])
+    def test_non_integer_or_off_record_index_raises_parameter_error(self, index):
+        fld = make_field(np.ones((4, 40), dtype=complex))
+        with pytest.raises(ParameterError, match="peak_time_index"):
+            spatial_profile(fld, index)
+
 
 class TestFocusingGain:
     def test_flat_field_is_zero_db(self):
@@ -188,6 +194,12 @@ class TestFocusingGain:
         field[0, 16] = 1.0
         with pytest.raises(DegenerateBackgroundError):
             focusing_gain(make_field(field), 0)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, np.float64(2.0), -1, 4])
+    def test_non_integer_or_off_grid_index_raises_parameter_error(self, index):
+        fld = make_field(np.ones((4, 40), dtype=complex))
+        with pytest.raises(ParameterError, match="target_index"):
+            focusing_gain(fld, index)
 
     def test_nt_scaling_adds_9db_and_is_monotone(self):
         # Peak grows like Nt at fixed E_tx while the speckle background

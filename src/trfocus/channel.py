@@ -105,10 +105,10 @@ class CavityParams:
                 raise ParameterError(f"{name} must be positive and finite")
         if not 0 < self.aperture_half_angle_rad <= math.pi:
             raise ParameterError("aperture_half_angle_rad must lie in (0, pi]")
-        if not self.n_paths >= 1:
-            raise ParameterError("n_paths must be a positive integer")
-        if not (self.oversample >= 1 and float(self.oversample).is_integer()):
-            raise ParameterError("oversample must be an integer >= 1")
+        for name in ("n_paths", "oversample"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
     @property
     def sample_rate_hz(self) -> float:
@@ -203,7 +203,8 @@ class ChannelEnsemble:
 
     ``spectrum`` is the read-only fft(cirs, _spectrum_length(L), axis=2),
     computed at construction and shared by every bank propagated through
-    this ensemble.
+    this ensemble.  Its memory is frequency-major: spectrum.transpose(2, 0, 1)
+    is C-contiguous, of shape (nfft, n_tx, n_rx).
     """
 
     cirs: np.ndarray  # complex, shape (n_tx, n_rx, cir_length)
@@ -226,7 +227,9 @@ class ChannelEnsemble:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "cirs", arr)
-        spec = np.fft.fft(arr, _spectrum_length(arr.shape[2]), axis=2)
+        nfft = _spectrum_length(arr.shape[2])
+        spec = np.empty((nfft, *arr.shape[:2]), dtype=np.complex128).transpose(1, 2, 0)
+        np.fft.fft(arr, nfft, axis=2, out=spec)  # out= needs numpy >= 2.0
         spec.setflags(write=False)
         object.__setattr__(self, "spectrum", spec)
 
@@ -506,10 +509,11 @@ def load_ensemble(path) -> ChannelEnsemble:
             raise ParameterError(f"{path} is not a {_FORMAT_NAME} file")
         try:
             params = CavityParams(**header["params"])
-            grid = RxGrid(
-                positions_m=np.array(header["grid"]["positions_m"], dtype=np.float64),
-                axis=np.array(header["grid"]["axis"], dtype=np.float64),
-            )
+            lists = [header["grid"]["positions_m"], header["grid"]["axis"]]
+            # np.array would read numeric strings and bools as floats.
+            if not all(isinstance(v, list) and set(map(type, v)) <= {int, float} for v in lists):
+                raise TypeError(f"grid {lists!r} must be lists of JSON numbers")
+            grid = RxGrid(*(np.array(v, dtype=np.float64) for v in lists))
             shape = (header["n_tx"], header["n_rx"], header["cir_length"])
             mode, seed = header["mode"], header["seed"]
             if not all(type(n) is int for n in shape):

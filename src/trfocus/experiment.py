@@ -60,6 +60,10 @@ MAX_TRIALS = 100_000
 # Most processes TRFOCUS_THREADS may ask map_trials to run trials in.
 MAX_WORKERS = 64
 
+# Largest |sounding SNR| in dB, so that 10 ** (SNR / 10) stays finite.
+MAX_SNR_DB = 300.0
+_SNR_RANGE = "sounding_snr_db must lie in [-300, 300] dB; None means noiseless"
+
 # Delay-window and decay sizing shared by all presets, in units of 1/B:
 # the window holds 72 resolvable taps and the power decay constant 64.
 _SPAN_TAPS = 72
@@ -136,11 +140,11 @@ def _grid_positions(start_m: float, stop_m: float, step_m: float) -> np.ndarray:
         raise ConfigError("grid step must be positive and finite")
     if stop_m < start_m:
         raise ConfigError("grid stop must not precede start")
-    n = int(math.floor((stop_m - start_m) / step_m + 0.5)) + 1
+    steps = (stop_m - start_m) / step_m + 0.5  # inf once stop - start overflows
     # Each point holds at least one tap and one spectrum bin of 16 bytes.
-    if n > ENSEMBLE_BUDGET_BYTES // 32:
-        raise ConfigError(f"a grid of {n} points exceeds the ensemble memory budget")
-    return np.round(start_m + step_m * np.arange(n), 12)
+    if not steps < ENSEMBLE_BUDGET_BYTES // 32:
+        raise ConfigError(f"a grid of {steps:.3g} points exceeds the ensemble memory budget")
+    return np.round(start_m + step_m * np.arange(int(steps) + 1), 12)
 
 
 def _deconv_grid(n_received: int) -> int:
@@ -214,8 +218,8 @@ class ScenarioConfig:
                 self.n_tx, self.cavity.cir_length, self.chirp_duration_s,
                 self.cavity.sample_rate_hz,
             )
-        if self.sounding_snr_db is not None and not math.isfinite(self.sounding_snr_db):
-            raise ConfigError("sounding_snr_db must be finite; None means noiseless")
+        if self.sounding_snr_db is not None and not abs(self.sounding_snr_db) <= MAX_SNR_DB:
+            raise ConfigError(_SNR_RANGE)
         if not (math.isfinite(self.tx_energy) and self.tx_energy > 0):
             raise ConfigError("tx_energy must be positive and finite")
         if self.symbol_period_samples is not None and self.symbol_period_samples < 1:
@@ -304,8 +308,8 @@ def sound_cirs(
     antenna to rounding; the noise is drawn in the same order (per
     antenna, real then imaginary).
     """
-    if sounding_snr_db is not None and not math.isfinite(sounding_snr_db):
-        raise ParameterError("sounding_snr_db must be finite; None means noiseless")
+    if sounding_snr_db is not None and not abs(sounding_snr_db) <= MAX_SNR_DB:
+        raise ParameterError(_SNR_RANGE)
     ensemble.check_rx(rx_index)
     params = ensemble.params
     _check_sounding_size(
@@ -739,7 +743,8 @@ def _no_tr_power(config: ScenarioConfig) -> Callable[[ChannelEnsemble], np.ndarr
     weights = np.fft.fft(window).real
 
     def power(ensemble: ChannelEnsemble) -> np.ndarray:
-        return (np.abs(ensemble.spectrum.sum(axis=0)) ** 2 @ weights) / (n_bins * n_out)
+        # The sum comes out F-ordered; @ keeps its bytes only in C order.
+        return (np.abs(ensemble.spectrum.sum(axis=0).copy()) ** 2 @ weights) / (n_bins * n_out)
 
     return power
 

@@ -58,16 +58,17 @@ class TrdmaResult:
         return self.per_user_rx.shape[0]
 
 
-def _bank_through_channel(bank: TrFilterBank, spectrum: np.ndarray) -> np.ndarray:
+def _bank_through_channel(bank: TrFilterBank, spectrum_fm: np.ndarray) -> np.ndarray:
     """sum_a w_a * h_{a,x} for every position x; rows of length 2L-1.
 
-    spectrum is fft(h, nfft, axis=2) of CIRs of shape (n_tx, n_rx, L),
-    with nfft >= 2L-1 (ChannelEnsemble.spectrum); the filters share L.
+    spectrum_fm is ChannelEnsemble.spectrum.transpose(2, 0, 1), or target
+    columns of it: (nfft, n_tx, n_rx) with nfft >= 2L-1; the filters share
+    L.  Each bin is one (1 x n_tx) @ (n_tx x n_rx) BLAS product.
     """
     n_out = 2 * bank.filter_length - 1
-    spec_w = np.fft.fft(bank.filters, spectrum.shape[2], axis=1)  # (n_tx, nfft)
-    spec_y = np.einsum("af,arf->rf", spec_w, spectrum)
-    return np.fft.ifft(spec_y, axis=1)[:, :n_out]
+    spec_w = np.fft.fft(bank.filters, spectrum_fm.shape[0], axis=1)  # (n_tx, nfft)
+    spec_y = np.matmul(spec_w.T[:, None, :], spectrum_fm)  # (nfft, 1, n_rx)
+    return np.fft.ifft(spec_y[:, 0, :].T, axis=1)[:, :n_out]
 
 
 def focus_field(bank: TrFilterBank, ensemble: ChannelEnsemble) -> SpaceTimeField:
@@ -82,7 +83,7 @@ def focus_field(bank: TrFilterBank, ensemble: ChannelEnsemble) -> SpaceTimeField
     if bank.n_tx != ensemble.n_tx:
         raise DimensionMismatchError("antenna counts differ")
     return SpaceTimeField(
-        field=_bank_through_channel(bank, ensemble.spectrum),
+        field=_bank_through_channel(bank, ensemble.spectrum.transpose(2, 0, 1)),
         positions_m=ensemble.grid.positions_m,
         peak_index=bank.filter_length - 1,
         sample_rate_hz=ensemble.sample_rate_hz,
@@ -115,7 +116,7 @@ def trdma_link(
     for bank in banks:
         if bank.filter_length != length or bank.n_tx != ensemble.n_tx:
             raise DimensionMismatchError("bank dimensions differ from ensemble")
-    target_spectra = ensemble.spectrum[:, list(targets), :]  # (n_tx, U, nfft)
+    target_spectra = ensemble.spectrum.transpose(2, 0, 1)[:, :, list(targets)]  # (nfft, n_tx, U)
     table = np.empty((n_users, n_users, 2 * length - 1), dtype=np.complex128)
     for v, bank in enumerate(banks):
         table[v] = _bank_through_channel(bank, target_spectra)

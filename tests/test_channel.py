@@ -58,6 +58,14 @@ class TestValidation:
             small_params(n_paths=0)
         with pytest.raises(ParameterError):
             small_params(oversample=0)
+        # Path and sample counts are integers: a float or a bool would
+        # reach numpy as a bad shape, or build a 1x-oversampled ensemble.
+        for name, value in [("n_paths", 2.5), ("n_paths", True), ("n_paths", 8.0),
+                            ("oversample", True), ("oversample", 2.0), ("oversample", "4"),
+                            ("oversample", np.float64(2.0))]:
+            with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+                small_params(**{name: value})
+        assert small_params(n_paths=np.int64(8), oversample=np.int32(3)).oversample == 3
 
     def test_grid(self):
         with pytest.raises(ParameterError):
@@ -223,6 +231,23 @@ class TestBuildEnsemble:
             spec[0, 0, 0] = 1.0
         nfft = scipy.fft.next_fast_len(2 * ens.cir_length - 1)
         np.testing.assert_array_equal(spec, np.fft.fft(ens.cirs, nfft, axis=2))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 5), (3, 2, 17), (2, 5, 40)])
+    def test_spectrum_is_a_view_of_its_frequency_major_copy(self, shape):
+        n_tx, n_rx, length = shape
+        rng = np.random.default_rng(length)
+        taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        params = small_params(max_delay_s=length / 1e9)
+        ens = ChannelEnsemble(taps, params, RxGrid(0.01 * np.arange(n_rx)), n_tx)
+        nfft = _spectrum_length(length)
+        assert ens.spectrum.shape == (n_tx, n_rx, nfft)
+        np.testing.assert_array_equal(ens.spectrum, np.fft.fft(ens.cirs, nfft, axis=2))
+        fm = ens.spectrum.transpose(2, 0, 1)
+        assert fm.shape == (nfft, n_tx, n_rx) and fm.flags.c_contiguous
+        for spec in (ens.spectrum, fm):
+            assert not spec.flags.writeable
+            with pytest.raises(ValueError):
+                spec[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("rx", [-1, -3, 3, 99, 1.0, True, np.True_])
     def test_cirs_at_off_grid_raises_invalid_target(self, rx):
@@ -436,6 +461,28 @@ class TestEnsembleExport:
                 load_ensemble(path)
         path.write_bytes(json.dumps({**header, "seed": None}).encode() + b"\n" + body)
         assert load_ensemble(path).seed is None
+
+    def test_non_numeric_header_values_raise_parameter_error(self, tmp_path):
+        import json
+
+        path = tmp_path / "ensemble.bin"
+        save_ensemble(self.make_small(), path, mode="binary")
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        grid = header["grid"]
+        # np.array(..., dtype=float64) would read the strings and bools.
+        for key, value in [("positions_m", ["0", "4e-3", "8e-3"]), ("positions_m", [0, True, 2]),
+                           ("positions_m", 0.0), ("positions_m", [[0.0, 0.004, 0.008]]),
+                           ("axis", ["1", 0, 0]), ("axis", [True, False, False])]:
+            bad = {**header, "grid": {**grid, key: value}}
+            path.write_bytes(json.dumps(bad).encode() + b"\n" + body)
+            with pytest.raises(ParameterError, match="malformed header"):
+                load_ensemble(path)
+        for value in (True, 2.0, "2"):
+            bad = {**header, "params": {**header["params"], "oversample": value}}
+            path.write_bytes(json.dumps(bad).encode() + b"\n" + body)
+            with pytest.raises(ParameterError, match="oversample must be an integer"):
+                load_ensemble(path)
 
     def test_unknown_mode_raises_parameter_error(self, tmp_path):
         import json

@@ -153,6 +153,9 @@ class TestRunCommand:
             "str_trials": '{"preset": "subthz", "n_trials": "3"}',
             "scalar_users": '{"preset": "subthz", "users_m": 0.001}',
             "not_json": "not json",
+            "huge_grid": '{"preset": "subthz", "grid": '
+                         '{"start_m": -1e308, "stop_m": 1e308, "step_m": 1.0}}',
+            "snr_400": '{"preset": "subthz", "csi_mode": "sounded", "sounding_snr_db": 400}',
         }
         bad_args = [("--config", tmp_path / "missing.json")]
         for name, text in bad_files.items():
@@ -166,6 +169,9 @@ class TestRunCommand:
             ("--preset", "subthz", "--nt", "0"),
             ("--preset", "subthz", "--csi", "sounded", "--chirp-duration", "0"),
             ("--preset", "subthz", "--csi", "sounded", "--chirp-duration", "nan"),
+            ("--preset", "subthz", "--csi", "sounded", "--sounding-snr-db", "-4000"),
+            ("--preset", "subthz", "--grid-start", "0", "--grid-stop", "0.001",
+             "--grid-step", "5e-324", "--target", "0"),
         ]
         for args in bad_args:
             assert run_cli("run", *args, "--outdir", tmp_path / "bad") == 2, args

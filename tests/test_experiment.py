@@ -120,6 +120,10 @@ class TestScenarioConfig:
             build_ensemble(cavity, grid, 8, 0)
         with pytest.raises(ConfigError, match="budget"):
             _grid_positions(0.0, 0.30, 1e-9)
+        # The span over the step overflows to inf before any int() of it.
+        for bounds in [(0.0, 0.001, 5e-324), (-1e308, 1e308, 1.0), (-1e308, 1e308, 1e300)]:
+            with pytest.raises(ConfigError, match="budget"):
+                _grid_positions(*bounds)
         # Sounding with a 1 s chirp at 400 MS/s: four arrays of (8 + 1) x 2^29
         # complex values are 288 GiB at the peak.
         with pytest.raises(ParameterError, match="budget"):
@@ -173,12 +177,23 @@ class TestSounding:
             )
             assert nmse < -15.0
 
-    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, -4000.0, 300.5])
     def test_non_finite_snr_rejected(self, snr_db):
         config = self.small_config()
         ens = build_ensemble(config.cavity, config.grid, config.n_tx, 3)
         with pytest.raises(ParameterError, match="None means noiseless"):
             sound_cirs(ens, 1, 1e-6, snr_db, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=r"\[-300, 300\] dB"):
+            self.small_config(csi_mode="sounded", sounding_snr_db=snr_db)
+
+    def test_snr_bounds_give_finite_estimates(self):
+        # 10 ** (-SNR / 10) overflows a float below about -3080 dB.
+        config = self.small_config()
+        ens = build_ensemble(config.cavity, config.grid, config.n_tx, 3)
+        for snr_db in (-300.0, 300.0):
+            self.small_config(sounding_snr_db=snr_db)
+            taps = [c.taps for c in sound_cirs(ens, 1, 1e-6, snr_db, 0)]
+            assert np.isfinite(taps).all()
 
     @pytest.mark.parametrize("snr_db", [None, 30.0])
     @pytest.mark.parametrize("n_tx", [1, 8])

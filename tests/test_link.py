@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import convolved_sum
 from trfocus.channel import CavityParams, ChannelEnsemble, RxGrid, build_ensemble
 from trfocus.errors import DimensionMismatchError, InvalidTargetError
+from trfocus.experiment import sound_cirs
 from trfocus.link import focus_field, trdma_link
 from trfocus.precoding import tr_filters
 
@@ -199,3 +200,62 @@ def test_tr_peak_identity_property(case):
     assert peak.real > 0
     assert abs(peak.real - expected) <= 1e-12 * expected
     assert abs(peak.imag) <= 1e-12 * expected
+
+
+@st.composite
+def propagation_cases(draw):
+    """(taps of shape (n_tx, n_rx, L), U distinct targets, sounded or not)."""
+    n_tx, n_rx, length = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 48))
+    parts = draw(
+        hnp.arrays(
+            np.float64,
+            (n_tx, n_rx, length, 2),
+            elements=st.floats(-1.0, 1.0, allow_subnormal=False),
+        )
+    )
+    targets = draw(st.lists(st.integers(0, n_rx - 1), min_size=1, max_size=n_rx, unique=True))
+    return parts[..., 0] + 1j * parts[..., 1], targets, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=propagation_cases())
+def test_propagation_matches_time_domain_convolution_property(case):
+    # Each bin's BLAS product sums the antennas in its own order; the field
+    # and the TRDMA table stay within 1e-12 of the time-domain sums.
+    taps, targets, sounded = case
+    assume(all(np.sum(np.abs(taps[:, t]) ** 2) > 1e-200 for t in targets))
+    ens = ensemble_from_taps(taps)
+    if sounded:
+        banks = [
+            tr_filters(sound_cirs(ens, t, 1e-7, 30.0, np.random.default_rng(t)), 1.0)
+            for t in targets
+        ]
+    else:
+        banks = [tr_filters(ens.cirs_at(t), 1.0) for t in targets]
+    result = trdma_link(banks, ens, targets, symbol_period_samples=4)
+    for v, bank in enumerate(banks):
+        ref = np.array([convolved_sum(bank.filters, ens.cirs[:, x]) for x in range(taps.shape[1])])
+        fld = focus_field(bank, ens).field
+        assert np.linalg.norm(fld - ref) <= 1e-12 * np.linalg.norm(ref)
+        table_ref = ref[targets]
+        err = np.linalg.norm(result.per_user_rx[v] - table_ref)
+        assert err <= 1e-12 * np.linalg.norm(table_ref)
+
+
+def test_single_antenna_propagation_is_the_unfused_product():
+    # With one antenna each bin's product has one term, so the field is
+    # ifft(W * H) with every real product and sum rounded on its own;
+    # fig4's output bytes depend on these bits.  numpy's complex `*` may
+    # fuse a product into the sum (FMA), so the product is written out in
+    # real arithmetic.  This pins the BLAS kernel's rounding of a one-term
+    # product; a BLAS whose kernel fuses it would fail here.
+    ens = build_ensemble(rich_params(n_paths=100), RxGrid(np.array([0.0, 0.01, 0.02])), 1, 11)
+    bank = tr_filters(ens.cirs_at(1), 1.0)
+    w = np.fft.fft(bank.filters[0], ens.spectrum.shape[2])
+    h = ens.spectrum[0]
+    product = (w.real * h.real - w.imag * h.imag) + 1j * (w.real * h.imag + w.imag * h.real)
+    expected = np.fft.ifft(product, axis=1)[:, : 2 * ens.cir_length - 1]
+    np.testing.assert_array_equal(focus_field(bank, ens).field, expected)
+    banks = [bank, tr_filters(ens.cirs_at(2), 1.0)]
+    table = trdma_link(banks, ens, [1, 2], symbol_period_samples=8).per_user_rx
+    np.testing.assert_array_equal(table[0], expected[[1, 2]])

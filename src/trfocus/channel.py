@@ -109,6 +109,10 @@ class CavityParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
                 raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+        # Synthesis takes each delay in samples and its carrier phase.
+        rate = max(self.sample_rate_hz, 2.0 * math.pi * self.carrier_hz)
+        if not math.isfinite(self.max_delay_s * rate):
+            raise ParameterError("max_delay_s times the sample rate or 2 pi f_c must be finite")
 
     @property
     def sample_rate_hz(self) -> float:
@@ -382,6 +386,10 @@ def build_ensemble(
     """
     length = params.cir_length
     check_ensemble_size(n_tx, len(grid), length)
+    # _sinc_mix rounds each path's delay in samples to an int64 tap index.
+    reach = float(np.max(np.abs(grid.positions_m))) * params.sample_rate_hz
+    if not reach / SPEED_OF_LIGHT_M_S < 2.0**53:
+        raise ParameterError("a grid position lies 2**53 or more samples of delay from the origin")
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     gen = np.random.default_rng(rng)
     boresight = grid.boresight()

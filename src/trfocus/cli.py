@@ -7,18 +7,15 @@ Exit codes: 0 success, 2 invalid configuration or unknown figure id,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 
-from .channel import RxGrid
 from .errors import ConfigError, TrfocusError
 from .experiment import (
     FIGURE_IDS,
     PRESETS,
     ScenarioConfig,
-    _grid_positions,
     config_from_preset,
     reproduce,
     run_experiment,
@@ -81,35 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Config-file keys and their ScenarioConfig annotations; a run may replace
-# the preset's cavity only through its bandwidth.
-_CONFIG_TYPES = {
-    f.name: f.type for f in dataclasses.fields(ScenarioConfig) if f.name != "cavity"
-}
-_CONFIG_TYPES["bandwidth_hz"] = "float"
-_GRID_KEYS = ("start_m", "stop_m", "step_m")
-
-
-def _check_value(key: str, value, kind: str):
-    """value checked against an annotation such as 'float' or 'int | None'."""
-    if value is None and kind.endswith(" | None"):
-        return None
-    kind = kind.removesuffix(" | None")
-    if kind == "RxGrid":
-        if not isinstance(value, dict) or set(value) != set(_GRID_KEYS):
-            raise ConfigError(f"grid must be an object with keys {list(_GRID_KEYS)}")
-        bounds = (_check_value(f"grid.{k}", value[k], "float") for k in _GRID_KEYS)
-        return RxGrid(_grid_positions(*bounds))
-    if kind == "tuple[float, ...]":
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list of numbers")
-        return tuple(_check_value(key, v, "float") for v in value)
-    allowed = {"str": str, "int": int, "float": (int, float)}[kind]
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"{key} must be of type {kind}, got {value!r}")
-    return value
-
-
 def _read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -118,33 +86,27 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(values) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return values
 
 
 def _config_from_args(args) -> ScenarioConfig:
-    values = _read_config_file(args.config) if args.config else {}
-    grid_flags = [args.grid_start, args.grid_stop, args.grid_step]
-    if any(v is not None for v in grid_flags):
-        if any(v is None for v in grid_flags):
+    """The config file's values, overridden by the flags given."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    del flags["command"]
+    path = flags.pop("config", None)
+    values = _read_config_file(path) if path else {}
+    grid = [flags.pop(key, None) for key in ("grid_start", "grid_stop", "grid_step")]
+    if any(v is not None for v in grid):
+        if any(v is None for v in grid):
             raise ConfigError("--grid-start/--grid-stop/--grid-step go together")
-        values["grid"] = dict(zip(_GRID_KEYS, grid_flags))
-    values.update(
-        (key, value)
-        for key, value in vars(args).items()
-        if key in _CONFIG_TYPES and value is not None
-    )
-    if args.sounding_noiseless:
-        values["sounding_snr_db"] = None
-    overrides = {
-        key: _check_value(key, value, _CONFIG_TYPES[key]) for key, value in values.items()
-    }
-    preset = overrides.pop("preset", None)
+        values["grid"] = dict(zip(("start_m", "stop_m", "step_m"), grid))
+    if flags.pop("sounding_noiseless"):
+        flags["sounding_snr_db"] = None
+    values.update(flags)
+    preset = values.pop("preset", None)
     if preset is None:
         raise ConfigError("a preset is required (--preset or config 'preset')")
-    return config_from_preset(preset, **overrides)
+    return config_from_preset(preset, **values)
 
 
 def main(argv=None) -> int:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import pickle
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -72,7 +73,6 @@ _DECAY_TAPS = 64
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     carrier_hz: float
     bandwidth_hz: float
     n_tx: int
@@ -84,6 +84,8 @@ class Preset:
 
     def cavity(self, bandwidth_hz: float | None = None) -> CavityParams:
         b = bandwidth_hz if bandwidth_hz is not None else self.bandwidth_hz
+        if not b > 0:  # the spans below divide by it
+            raise ConfigError(f"bandwidth_hz must be positive, got {b}")
         return CavityParams(
             carrier_hz=self.carrier_hz,
             bandwidth_hz=b,
@@ -98,7 +100,6 @@ class Preset:
 
 PRESETS: dict[str, Preset] = {
     "sub6ghz": Preset(
-        name="sub6ghz",
         carrier_hz=2.5e9,
         bandwidth_hz=100e6,
         n_tx=8,
@@ -109,7 +110,6 @@ PRESETS: dict[str, Preset] = {
         target_m=0.10,
     ),
     "mmwave": Preset(
-        name="mmwave",
         carrier_hz=36e9,
         bandwidth_hz=2e9,
         n_tx=1,
@@ -120,7 +120,6 @@ PRESETS: dict[str, Preset] = {
         target_m=0.0,
     ),
     "subthz": Preset(
-        name="subthz",
         carrier_hz=273.6e9,
         bandwidth_hz=3e9,
         n_tx=1,
@@ -186,9 +185,35 @@ def thread_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+# The Python types of ScenarioConfig's annotations; _checked refuses bools.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+                "RxGrid": RxGrid, "CavityParams": CavityParams}
+
+
+def _checked(name: str, value, kind: str):
+    """value checked against an annotation such as 'float' or 'int | None',
+    and returned as a Python int, float or tuple of floats."""
+    if value is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind == "tuple[float, ...]":
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        return tuple(_checked(name, v, "float") for v in value)
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+        raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+    if kind == "float":
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} lies beyond float range") from None
+    return int(value) if kind == "int" else value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one seeded campaign needs."""
+    """Everything one seeded campaign needs; a field whose value does not
+    have its annotation's type raises ConfigError."""
 
     cavity: CavityParams
     grid: RxGrid
@@ -202,10 +227,11 @@ class ScenarioConfig:
     sounding_snr_db: float | None = 30.0
     tx_energy: float = 1.0
     symbol_period_samples: int | None = None
-    preset: str | None = None
     outdir: str = "trfocus_out"
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _checked(f.name, getattr(self, f.name), f.type))
         if not 1 <= self.n_trials <= MAX_TRIALS:
             raise ConfigError(f"n_trials must lie in [1, {MAX_TRIALS}]")
         check_ensemble_size(self.n_tx, len(self.grid), self.cavity.cir_length)
@@ -220,8 +246,8 @@ class ScenarioConfig:
             )
         if self.sounding_snr_db is not None and not abs(self.sounding_snr_db) <= MAX_SNR_DB:
             raise ConfigError(_SNR_RANGE)
-        if not (math.isfinite(self.tx_energy) and self.tx_energy > 0):
-            raise ConfigError("tx_energy must be positive and finite")
+        if not 1e-300 <= self.tx_energy <= 1e300:
+            raise ConfigError(f"tx_energy must lie in [1e-300, 1e300], got {self.tx_energy}")
         if self.symbol_period_samples is not None and self.symbol_period_samples < 1:
             raise ConfigError("symbol_period_samples must be >= 1")
         self.target_index  # validates target on grid
@@ -256,31 +282,42 @@ class ScenarioConfig:
         return max(1, self.cavity.cir_length // 4)
 
 
+# The keys of a config file: ScenarioConfig's fields, with bandwidth_hz,
+# which rebuilds the preset's cavity, in place of cavity.
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)} - {"cavity"} | {"bandwidth_hz"}
+_GRID_BOUNDS = ("start_m", "stop_m", "step_m")
+
+
 def config_from_preset(preset_name: str, **overrides) -> ScenarioConfig:
     """ScenarioConfig for a named preset; overrides replace preset fields.
 
     Overrides are ScenarioConfig fields other than ``cavity``, plus
-    ``bandwidth_hz``, which rebuilds the preset's cavity at that bandwidth.
+    ``bandwidth_hz``, which rebuilds the preset's cavity at that bandwidth;
+    ``grid`` may be a mapping of ``start_m``, ``stop_m`` and ``step_m``.
+    Any other key, or a value of the wrong type, raises ConfigError.
     """
-    if preset_name not in PRESETS:
+    if not isinstance(preset_name, str) or preset_name not in PRESETS:
         raise ConfigError(
             f"unknown preset {preset_name!r}; choose from {sorted(PRESETS)}"
         )
+    unknown = set(overrides) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     preset = PRESETS[preset_name]
-    bandwidth = overrides.pop("bandwidth_hz", None)
-    grid = overrides.pop("grid", None)
-    users = overrides.pop("users_m", None)
-    if users is not None:
-        users = tuple(float(u) for u in users)
+    bandwidth = overrides.pop("bandwidth_hz", preset.bandwidth_hz)
+    grid = overrides.get("grid")
+    if isinstance(grid, dict):
+        if set(grid) != set(_GRID_BOUNDS):
+            raise ConfigError(f"grid must be an object with keys {list(_GRID_BOUNDS)}")
+        bounds = (_checked(f"grid.{k}", grid[k], "float") for k in _GRID_BOUNDS)
+        overrides["grid"] = RxGrid(_grid_positions(*bounds))
     cfg = dict(
-        cavity=preset.cavity(bandwidth),
-        grid=grid if grid is not None else preset.grid(),
+        cavity=preset.cavity(_checked("bandwidth_hz", bandwidth, "float")),
+        grid=preset.grid(),
         n_tx=preset.n_tx,
         target_m=preset.target_m,
-        users_m=users,
         n_trials=1,
         seed=0,
-        preset=preset_name,
     )
     cfg.update(overrides)
     return ScenarioConfig(**cfg)
@@ -404,17 +441,13 @@ def _measure_target(
         s_fwhm = _unless(EdgePeakError, lambda: spatial_profile(fld, peak_n).fwhm_m)
         gain_db = _unless(DegenerateBackgroundError, focusing_gain, fld, target)
 
-    sir_db = None
-    isi_db = None
+    sir_db = isi_db = None
     if config.users_m is not None:
         user_idx = config.user_indices
-        banks = [
-            _bank_for_target(config, ensemble, u, sounding_rng) for u in user_idx
-        ]
+        banks = [_bank_for_target(config, ensemble, u, sounding_rng) for u in user_idx]
         result = trdma_link(banks, ensemble, user_idx, config.symbol_period)
         sir_db = [float(v) for v in sir(result)]
-        isi_vals = isi_ratio(result)
-        isi_db = float(np.mean(isi_vals))
+        isi_db = float(np.mean(isi_ratio(result)))
 
     report = FocusingReport(
         peak_power_db=peak_power_db,
@@ -647,10 +680,7 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
 
     _write_json(out / "trials.json", [o.report.to_dict() for o in outputs])
 
-    sir_means = []
-    for o in outputs:
-        if o.report.sir_db is not None:
-            sir_means.append(float(np.mean(o.report.sir_db)))
+    sir_means = [float(np.mean(o.report.sir_db)) for o in outputs if o.report.sir_db is not None]
     summary = {
         "fc_hz": config.cavity.carrier_hz,
         "b_hz": config.cavity.bandwidth_hz,

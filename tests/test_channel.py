@@ -67,6 +67,14 @@ class TestValidation:
                 small_params(**{name: value})
         assert small_params(n_paths=np.int64(8), oversample=np.int32(3)).oversample == 3
 
+    def test_delay_span_in_samples_and_carrier_cycles_must_be_finite(self):
+        # At B = 1e308 the 2x-oversampled sample rate is inf; a 100 s delay
+        # window at f_c = 1e307 Hz overflows the carrier phase 2 pi f_c tau.
+        for kw in (dict(bandwidth_hz=1e308, max_delay_s=1.0),
+                   dict(carrier_hz=1e307, max_delay_s=100.0)):
+            with pytest.raises(ParameterError, match="max_delay_s times"):
+                small_params(decay_time_s=1.0, **kw)
+
     def test_grid(self):
         with pytest.raises(ParameterError):
             RxGrid(np.array([0.0, 0.0, 1.0]))
@@ -212,6 +220,17 @@ class TestBuildEnsemble:
         params = small_params(n_paths=16)
         ens = build_ensemble(params, RxGrid(np.array([0.0])), 1, 0)
         assert ens.cirs.shape == (1, 1, params.cir_length)
+
+    @pytest.mark.parametrize("reach_samples", [2.0**54, 1e19])
+    def test_grid_beyond_exact_tap_indices_is_refused(self, reach_samples):
+        # _sinc_mix casts each path's delay in samples to int64; a grid point
+        # 2**53 or more samples of delay from the origin is refused first.
+        params = small_params(n_paths=16)
+        far = reach_samples * C / params.sample_rate_hz
+        with pytest.raises(ParameterError, match=r"2\*\*53"):
+            build_ensemble(params, RxGrid(np.array([0.0, far])), 1, 0)
+        with pytest.raises(ParameterError, match=r"2\*\*53"):
+            build_ensemble(params, RxGrid(np.array([-far, 0.0])), 1, 0)
 
     def test_seed_determinism_bit_exact(self):
         params = small_params(n_paths=64)

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import os
 import resource
 import shutil
@@ -11,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import trfocus
 from trfocus.cli import main
@@ -26,6 +32,31 @@ SUMMARY_KEYS = {
     "mean_spatial_fwhm_m",
     "mean_focusing_gain_db",
     "mean_sir_db",
+}
+
+
+# The ends of every type's range and no mid-range value, so that no
+# accepted value can start a large run.
+EXTREMES = [0, -0.0, 5e-324, 1e-300, 1e300, 1e308, -1e308, math.nan, 2**64, 2**1100,
+            True, "1", [], {}, None]
+
+# Every config key, at the preset's value where it has one: one trial of
+# two-user TRDMA on a 5-point subthz grid.
+BASE_CONFIG = {
+    "preset": "subthz",
+    "bandwidth_hz": 3e9,
+    "n_tx": 1,
+    "n_trials": 1,
+    "seed": 0,
+    "grid": {"start_m": -0.0006, "stop_m": 0.0006, "step_m": 0.0003},
+    "target_m": 0.0,
+    "users_m": [-0.0003, 0.0003],
+    "csi_mode": "perfect",
+    "chirp_duration_s": 1e-6,
+    "sounding_snr_db": 30.0,
+    "tx_energy": 1.0,
+    "symbol_period_samples": None,
+    "outdir": "out",
 }
 
 
@@ -156,7 +187,19 @@ class TestRunCommand:
             "huge_grid": '{"preset": "subthz", "grid": '
                          '{"start_m": -1e308, "stop_m": 1e308, "step_m": 1.0}}',
             "snr_400": '{"preset": "subthz", "csi_mode": "sounded", "sounding_snr_db": 400}',
+            "tiny_energy": '{"preset": "subthz", "tx_energy": 5e-324}',
+            "huge_energy": '{"preset": "subthz", "tx_energy": 1e308}',
+            "cavity_key": '{"preset": "subthz", "cavity": {}}',
+            "list_preset": '{"preset": []}',
         }
+        # JSON integers beyond float range.
+        big = 2**1100
+        for key in ("bandwidth_hz", "tx_energy", "target_m"):
+            bad_files[f"big_{key}"] = f'{{"preset": "subthz", "{key}": {big}}}'
+        bad_files["big_users"] = f'{{"preset": "subthz", "users_m": [0.0, {big}]}}'
+        bad_files["big_grid"] = (
+            f'{{"preset": "subthz", "grid": {{"start_m": 0.0, "stop_m": {big}, "step_m": 1.0}}}}'
+        )
         bad_args = [("--config", tmp_path / "missing.json")]
         for name, text in bad_files.items():
             path = tmp_path / f"{name}.json"
@@ -172,11 +215,49 @@ class TestRunCommand:
             ("--preset", "subthz", "--csi", "sounded", "--sounding-snr-db", "-4000"),
             ("--preset", "subthz", "--grid-start", "0", "--grid-stop", "0.001",
              "--grid-step", "5e-324", "--target", "0"),
+            # A sample rate of inf, and grid points too many samples of delay
+            # from the origin for _sinc_mix's int64 tap indices.
+            ("--preset", "subthz", "--bandwidth", "1e308"),
+            ("--preset", "subthz", "--bandwidth", "1e100"),
+            ("--preset", "sub6ghz", "--bandwidth", "1e28"),
         ]
         for args in bad_args:
             assert run_cli("run", *args, "--outdir", tmp_path / "bad") == 2, args
             assert capsys.readouterr().err.startswith("error:"), args
         assert not (tmp_path / "bad").exists()
+
+    @settings(
+        max_examples=1000, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        csi_mode=st.sampled_from(["perfect", "sounded"]),
+        key=st.sampled_from([*BASE_CONFIG, "grid.start_m", "grid.stop_m", "grid.step_m"]),
+        value=st.sampled_from(EXTREMES),
+    )
+    def test_extreme_config_value_exits_cleanly(
+        self, csi_mode, key, value, tmp_path, monkeypatch
+    ):
+        # One key or grid bound at a time takes an extreme value, with
+        # perfect or sounded CSI; the run either succeeds or ends in a clean
+        # error, never a traceback or a warning (pytest turns warnings into
+        # errors).
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TRFOCUS_THREADS", "1")
+        config = copy.deepcopy(BASE_CONFIG)
+        config["csi_mode"] = csi_mode
+        if key.startswith("grid."):
+            config["grid"][key.removeprefix("grid.")] = value
+        else:
+            config[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path)])
+        assert code in (0, 2, 3), (csi_mode, key, value, code)
+        if code == 2:
+            assert err.getvalue().startswith("error:"), (csi_mode, key, value, err.getvalue())
 
     def test_oversized_grid_exits_2_without_allocating(self, tmp_path):
         # A 1 nm step gives 3e8 grid points: 2.2 GiB of positions alone and

@@ -135,6 +135,48 @@ class TestScenarioConfig:
             with pytest.raises(ParameterError, match="positive and finite"):
                 sound_cirs(ens, 0, duration, 30.0, 0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_trials": True},
+            {"n_trials": 1.5},
+            {"seed": 1.5},
+            {"n_tx": 2.0},
+            {"n_tx": True},
+            {"symbol_period_samples": 2.5},
+            {"target_m": "0"},
+            {"users_m": [0.0, "x"]},
+            {"tx_energy": "1"},
+            {"outdir": 5},
+            {"bandwidth_hz": "3e9"},
+            {"grid": [1, 2, 3]},
+            {"bandwidth": 3e9},  # unknown key
+        ],
+    )
+    def test_library_values_are_type_checked(self, overrides):
+        config = config_from_preset("subthz", seed=np.int64(3), n_trials=np.int64(2))
+        assert (config.seed, config.n_trials) == (3, 2)
+        assert type(config.seed) is int and type(config.n_trials) is int
+        with pytest.raises(ConfigError):
+            config_from_preset("subthz", **overrides)
+
+    @pytest.mark.parametrize("csi_mode", ["perfect", "sounded"])
+    def test_tx_energy_is_bounded(self, csi_mode):
+        # Inside [1e-300, 1e300] every power and dB value of a trial is
+        # finite; outside, the target's peak power underflows to 0 or the
+        # focusing gain overflows.
+        base = dict(
+            grid={"start_m": -0.0006, "stop_m": 0.0006, "step_m": 0.0003},
+            users_m=(-0.0003, 0.0003), csi_mode=csi_mode, n_trials=1,
+        )
+        for energy in (1e-300, 1e300):
+            (output,) = run_trials(config_from_preset("subthz", tx_energy=energy, **base))
+            report = output.report
+            assert math.isfinite(report.peak_power_db) and math.isfinite(report.isi_ratio_db)
+        for energy in (np.nextafter(1e-300, 0.0), np.nextafter(1e300, math.inf)):
+            with pytest.raises(ConfigError, match="tx_energy"):
+                config_from_preset("subthz", tx_energy=energy, **base)
+
     def test_thread_count_env(self, monkeypatch):
         monkeypatch.setenv("TRFOCUS_THREADS", "2")
         assert thread_count() == 2

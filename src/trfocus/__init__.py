@@ -49,6 +49,6 @@ from .metrics import (
     temporal_fwhm,
 )
 from .precoding import TrFilterBank, equivalence_residual, mrt_weights, tr_filters
-from .signalops import Cir, Waveform, gen_chirp, inband_nmse_db
+from .signalops import gen_chirp, inband_nmse_db
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidTargetError, ParameterError
-from .signalops import Cir
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -174,6 +173,14 @@ def _spectrum_length(cir_length: int) -> int:
     return best
 
 
+def _mib(n_bytes: int) -> str:
+    """n_bytes in MiB to three significant digits.  Decimal formats an int
+    past float range too, such as the size of a grid for 10**400 antennas."""
+    from decimal import Decimal  # about 1 ms of import, paid on this path only
+
+    return f"{Decimal(n_bytes >> 20):.3g}"
+
+
 def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
     """Raise ParameterError when a dimension is below 1 or the CIRs and the
     spectrum of an ensemble would exceed ENSEMBLE_BUDGET_BYTES."""
@@ -187,7 +194,7 @@ def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
     if n_bytes > ENSEMBLE_BUDGET_BYTES:
         raise ParameterError(
             f"an ensemble of {n_tx} x {n_rx} CIRs of {cir_length} taps needs at least "
-            f"{n_bytes >> 20} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
+            f"{_mib(n_bytes)} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
         )
 
 
@@ -245,19 +252,17 @@ class ChannelEnsemble:
     def sample_rate_hz(self) -> float:
         return self.params.sample_rate_hz
 
-    def cir(self, tx: int, rx: int) -> Cir:
-        return Cir(self.cirs[tx, rx], self.sample_rate_hz, self.params.carrier_hz)
-
     def check_rx(self, rx: int) -> None:
         """Raise InvalidTargetError unless rx is an integer index of a grid
         position."""
         if not _is_index(rx, len(self.grid)):
             raise InvalidTargetError(f"grid index {rx!r} is not in range({len(self.grid)})")
 
-    def cirs_at(self, rx: int) -> list[Cir]:
-        """All per-antenna CIRs for one grid position."""
+    def cirs_at(self, rx: int) -> np.ndarray:
+        """All per-antenna CIRs for one grid position: a read-only
+        (n_tx, L) view of cirs."""
         self.check_rx(rx)
-        return [self.cir(a, rx) for a in range(self.n_tx)]
+        return self.cirs[:, rx]
 
 
 def draw_paths(

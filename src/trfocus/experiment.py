@@ -28,6 +28,7 @@ from .channel import (
     CavityParams,
     ChannelEnsemble,
     RxGrid,
+    _mib,
     _spectrum_length,
     build_ensemble,
     check_ensemble_size,
@@ -50,7 +51,7 @@ from .metrics import (
     temporal_fwhm,
 )
 from .precoding import TrFilterBank, tr_filters
-from .signalops import Cir, gen_chirp
+from .signalops import gen_chirp
 
 THREADS_ENV_VAR = "TRFOCUS_THREADS"
 
@@ -165,7 +166,7 @@ def _check_sounding_size(
     if n_bytes > ENSEMBLE_BUDGET_BYTES:
         raise ParameterError(
             f"sounding {n_tx} antennas with a {chirp_duration_s:g} s chirp needs "
-            f"{n_bytes >> 20} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
+            f"{_mib(n_bytes)} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
         )
 
 
@@ -329,8 +330,9 @@ def sound_cirs(
     chirp_duration_s: float,
     sounding_snr_db: float | None,
     rng,
-) -> list[Cir]:
-    """Estimate the per-antenna CIRs at one grid position by chirp sounding.
+) -> np.ndarray:
+    """Estimate the per-antenna CIRs at one grid position by chirp sounding,
+    as an (n_tx, L) complex array.
 
     Each antenna's channel is probed with a linear chirp spanning the
     cavity bandwidth; the record (plus AWGN at the sounding SNR, if any)
@@ -352,17 +354,12 @@ def sound_cirs(
     _check_sounding_size(
         ensemble.n_tx, ensemble.cir_length, chirp_duration_s, params.sample_rate_hz
     )
-    probe = gen_chirp(
-        params.bandwidth_hz,
-        chirp_duration_s,
-        params.sample_rate_hz,
-        params.carrier_hz,
-    )
-    if np.max(np.abs(probe.samples)) == 0.0:
+    probe = gen_chirp(params.bandwidth_hz, chirp_duration_s, params.sample_rate_hz)
+    if np.max(np.abs(probe)) == 0.0:
         raise DegenerateProbeError("probe is identically zero")
     n_record = len(probe) + ensemble.cir_length - 1
     nfft = _deconv_grid(n_record)
-    spec_probe = np.fft.fft(probe.samples, nfft)
+    spec_probe = np.fft.fft(probe, nfft)
     mags = np.abs(spec_probe)
     probe_power = mags**2
     spec_rx = spec_probe * np.fft.fft(ensemble.cirs[:, rx_index], nfft, axis=1)
@@ -379,10 +376,8 @@ def sound_cirs(
         if np.any(epsilon == 0.0) and mags.min() < 1e-12 * mags.max():
             raise IllConditionedError("epsilon = 0 with near-zero probe spectrum bins")
     est = np.fft.ifft(spec_rx * np.conj(spec_probe) / (probe_power + epsilon), axis=1)
-    return [
-        Cir(taps, params.sample_rate_hz, params.carrier_hz)
-        for taps in est[:, : ensemble.cir_length]
-    ]
+    # A copy, so that an estimate does not pin the (n_tx, nfft) buffer.
+    return est[:, : ensemble.cir_length].copy()
 
 
 def _bank_for_target(
@@ -620,6 +615,19 @@ def _write_csv(path, header: str, *columns: np.ndarray) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _strict_json(obj):
+    """obj with each non-finite float, such as a metric's +-inf sentinel,
+    spelled as the string "inf", "-inf" or "nan", so the JSON written is
+    strict; null already means "dropped"."""
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_strict_json(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    return obj
+
+
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -678,10 +686,10 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
             out / "spatial_mean.csv", "position_m,power_db", positions, _db_profile(mean_spatial)
         )
 
-    _write_json(out / "trials.json", [o.report.to_dict() for o in outputs])
+    _write_json(out / "trials.json", _strict_json([o.report.to_dict() for o in outputs]))
 
     sir_means = [float(np.mean(o.report.sir_db)) for o in outputs if o.report.sir_db is not None]
-    summary = {
+    summary = _strict_json({
         "fc_hz": config.cavity.carrier_hz,
         "b_hz": config.cavity.bandwidth_hz,
         "nt": config.n_tx,
@@ -691,7 +699,7 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
         "mean_spatial_fwhm_m": _mean_or_none(o.report.spatial_fwhm_m for o in outputs),
         "mean_focusing_gain_db": _mean_or_none(o.report.focusing_gain_db for o in outputs),
         "mean_sir_db": _mean_or_none(sir_means),
-    }
+    })
     _write_json(out / "summary.json", summary)
     return summary
 
@@ -753,13 +761,8 @@ def _no_tr_power(config: ScenarioConfig) -> Callable[[ChannelEnsemble], np.ndarr
     on the sounding grid, built here once for every ensemble of the
     config."""
     params = config.cavity
-    probe = gen_chirp(
-        params.bandwidth_hz,
-        config.chirp_duration_s,
-        params.sample_rate_hz,
-        params.carrier_hz,
-    )
-    filt = probe.samples * math.sqrt(config.tx_energy / probe.energy)
+    probe = gen_chirp(params.bandwidth_hz, config.chirp_duration_s, params.sample_rate_hz)
+    filt = probe * math.sqrt(config.tx_energy / float(np.sum(np.abs(probe) ** 2)))
     length = params.cir_length
     n_out = length + filt.size - 1
     nfft = _deconv_grid(n_out)

@@ -9,25 +9,25 @@ and agree bin-by-bin up to a pure delay of L-1 samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionMismatchError, ParameterError
-from .signalops import Cir
 
 
-def _stack_cirs(cirs: Sequence[Cir]) -> np.ndarray:
-    if len(cirs) == 0:
-        raise ParameterError("need at least one CIR")
-    length = len(cirs[0])
-    rate = cirs[0].sample_rate_hz
-    for c in cirs:
-        if len(c) != length:
-            raise DimensionMismatchError("CIR tap counts differ across antennas")
-        if c.sample_rate_hz != rate:
-            raise DimensionMismatchError("CIR sample rates differ across antennas")
-    return np.stack([c.taps for c in cirs])
+def _stack_cirs(cirs) -> np.ndarray:
+    """The per-antenna CIRs as a finite, non-empty (n_tx, L) complex array."""
+    try:
+        taps = np.asarray(cirs)
+    except ValueError as exc:  # a ragged nesting
+        raise DimensionMismatchError("CIRs must share one tap count") from exc
+    if taps.dtype.kind not in "iufc":
+        raise ParameterError(f"CIR taps must be numbers, not {taps.dtype}")
+    if taps.ndim != 2 or taps.size == 0:
+        raise DimensionMismatchError(f"CIRs must form a non-empty (n_tx, L) array: {taps.shape}")
+    if not np.isfinite(taps).all():
+        raise ParameterError("CIR taps must be finite")
+    return taps.astype(np.complex128, copy=False)
 
 
 def _joint_scale(taps: np.ndarray, total_energy: float) -> float:
@@ -63,8 +63,9 @@ class TrFilterBank:
         return self.filters.shape[1]
 
 
-def tr_filters(cirs: Sequence[Cir], total_energy: float = 1.0) -> TrFilterBank:
-    """Build TR filters w_a[n] = conj(h_a[L-1-n]) / c.
+def tr_filters(cirs, total_energy: float = 1.0) -> TrFilterBank:
+    """Build TR filters w_a[n] = conj(h_a[L-1-n]) / c from the (n_tx, L)
+    array-like of per-antenna CIRs h.
 
     c = sqrt(sum_a ||h_a||^2 / total_energy), so the bank's summed filter
     energy equals total_energy exactly.
@@ -74,7 +75,7 @@ def tr_filters(cirs: Sequence[Cir], total_energy: float = 1.0) -> TrFilterBank:
     return TrFilterBank(np.conj(taps[:, ::-1]) / scale, total_energy)
 
 
-def mrt_weights(cirs: Sequence[Cir], n_bins: int, total_energy: float = 1.0) -> np.ndarray:
+def mrt_weights(cirs, n_bins: int, total_energy: float = 1.0) -> np.ndarray:
     """Conjugate per-bin weights W_a[k] = conj(H_a[k]) / c, as a read-only
     complex array of shape (n_tx, n_bins).
 
@@ -90,7 +91,7 @@ def mrt_weights(cirs: Sequence[Cir], n_bins: int, total_energy: float = 1.0) -> 
     return weights
 
 
-def equivalence_residual(bank: TrFilterBank, cirs: Sequence[Cir]) -> float:
+def equivalence_residual(bank: TrFilterBank, cirs) -> float:
     """How far the bank is from conjugate per-bin precoding.
 
     Transforms the TR filters on an n_bins = 2L-1 grid, removes the pure
@@ -105,7 +106,7 @@ def equivalence_residual(bank: TrFilterBank, cirs: Sequence[Cir]) -> float:
     length = bank.filter_length
     n_bins = 2 * length - 1
     w_tr = np.fft.fft(bank.filters, n_bins, axis=1)
-    w_mrt = mrt_weights(cirs, n_bins, bank.total_energy)
+    w_mrt = mrt_weights(taps, n_bins, bank.total_energy)
     ref = float(np.max(np.abs(w_mrt)))
     if ref == 0.0:
         raise DegenerateChannelError("all CIRs are zero")

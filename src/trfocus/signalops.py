@@ -1,98 +1,22 @@
 """Sampled-signal primitives shared by the whole simulator.
 
-Everything here works on complex-baseband sequences: the waveform and
-CIR types, chirp generation and the in-band NMSE of an estimate.  The
-carrier frequency attached to a signal is metadata only; no operation
-up- or down-converts.
+Everything here works on complex-baseband sequences held as plain
+complex arrays: chirp generation and the in-band NMSE of an estimate.
+No operation up- or down-converts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AliasingError, ParameterError
 
 
-def _as_readonly_complex(samples) -> np.ndarray:
-    arr = np.array(samples, dtype=np.complex128, copy=True)
-    if arr.ndim != 1:
-        raise ParameterError("sample data must be one-dimensional")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class Waveform:
-    """Uniformly sampled complex-baseband signal.
-
-    Attributes:
-        samples: complex sample sequence (read-only after construction).
-        sample_rate_hz: sampling rate, > 0.
-        carrier_hz: nominal carrier frequency, metadata only, >= 0.
-    """
-
-    samples: np.ndarray
-    sample_rate_hz: float
-    carrier_hz: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_readonly_complex(self.samples))
-        if self.samples.size == 0:
-            raise ParameterError("waveform must contain at least one sample")
-        if not self.sample_rate_hz > 0:
-            raise ParameterError("sample_rate_hz must be positive")
-        if self.carrier_hz < 0:
-            raise ParameterError("carrier_hz must be nonnegative")
-        if not np.all(np.isfinite(self.samples)):
-            raise ParameterError("waveform samples must be finite")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2))
-
-
-@dataclass(frozen=True)
-class Cir:
-    """Complex-baseband channel impulse response for one Tx/Rx pair.
-
-    Attributes:
-        taps: complex tap sequence (read-only after construction).
-        sample_rate_hz: tap rate, > 0.
-        carrier_hz: carrier the response was measured around, > 0.
-    """
-
-    taps: np.ndarray
-    sample_rate_hz: float
-    carrier_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "taps", _as_readonly_complex(self.taps))
-        if self.taps.size == 0:
-            raise ParameterError("CIR must contain at least one tap")
-        if not self.sample_rate_hz > 0:
-            raise ParameterError("sample_rate_hz must be positive")
-        if not self.carrier_hz > 0:
-            raise ParameterError("carrier_hz must be positive")
-        if not np.all(np.isfinite(self.taps)):
-            raise ParameterError("CIR taps must be finite")
-
-    def __len__(self) -> int:
-        return self.taps.size
-
-
-def gen_chirp(
-    bandwidth_hz: float,
-    duration_s: float,
-    sample_rate_hz: float,
-    carrier_hz: float = 0.0,
-) -> Waveform:
-    """Linear chirp sweeping [-B/2, +B/2] at complex baseband.
+def gen_chirp(bandwidth_hz: float, duration_s: float, sample_rate_hz: float) -> np.ndarray:
+    """Linear chirp sweeping [-B/2, +B/2] at complex baseband, as an (n,)
+    complex array.
 
     s[n] = exp(j*pi*kappa*(t_n - T/2)^2) with kappa = B/T and a
     rectangular envelope of unit amplitude.  bandwidth_hz = 0 selects the
@@ -118,7 +42,7 @@ def gen_chirp(
     t = np.arange(n_samples) / sample_rate_hz
     kappa = bandwidth_hz / duration_s
     phase = np.pi * kappa * (t - duration_s / 2.0) ** 2
-    return Waveform(np.exp(1j * phase), sample_rate_hz, carrier_hz)
+    return np.exp(1j * phase)
 
 
 def inband_nmse_db(

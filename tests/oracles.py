@@ -11,22 +11,19 @@ import trfocus.experiment as experiment
 from trfocus.channel import SPEED_OF_LIGHT_M_S as C
 from trfocus.errors import DegenerateProbeError, IllConditionedError, ParameterError
 from trfocus.experiment import _deconv_grid
-from trfocus.signalops import Cir, Waveform
 
 
-def convolve(a: Waveform, b: Waveform) -> Waveform:
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution, length len(a) + len(b) - 1 (np.convolve)."""
-    out = np.convolve(a.samples, b.samples)
-    carrier = a.carrier_hz if a.carrier_hz > 0 else b.carrier_hz
-    return Waveform(out, a.sample_rate_hz, carrier)
+    return np.convolve(a, b)
 
 
 def wiener_deconvolve(
-    received: Waveform,
-    probe: Waveform,
+    received: np.ndarray,
+    probe: np.ndarray,
     epsilon: float | None = None,
     cir_length: int | None = None,
-) -> Cir:
+) -> np.ndarray:
     """Estimate a CIR by regularized deconvolution of a probe transmission.
 
     Hhat(f) = R(f) * conj(S(f)) / (|S(f)|^2 + epsilon) on the zero-padded
@@ -43,12 +40,12 @@ def wiener_deconvolve(
     """
     if len(received) < len(probe):
         raise ParameterError("received record shorter than the probe")
-    if np.max(np.abs(probe.samples)) == 0.0:
+    if np.max(np.abs(probe)) == 0.0:
         raise DegenerateProbeError("probe is identically zero")
 
     nfft = _deconv_grid(len(received))
-    spec_probe = np.fft.fft(probe.samples, nfft)
-    spec_rx = np.fft.fft(received.samples, nfft)
+    spec_probe = np.fft.fft(probe, nfft)
+    spec_rx = np.fft.fft(received, nfft)
     power = np.abs(spec_probe) ** 2
 
     if epsilon is None:
@@ -65,8 +62,7 @@ def wiener_deconvolve(
         cir_length = max(len(received) - len(probe) + 1, 1)
     if cir_length < 1:
         raise ParameterError("cir_length must be positive")
-    carrier = received.carrier_hz if received.carrier_hz > 0 else probe.carrier_hz
-    return Cir(est[:cir_length], received.sample_rate_hz, carrier)
+    return est[:cir_length]
 
 
 def naive_taps(paths, position_m, params, axis, length):
@@ -90,25 +86,22 @@ def sound_cirs_per_antenna(ensemble, rx_index, chirp_duration_s, sounding_snr_db
     """experiment.sound_cirs as time-domain convolution, then AWGN, then
     wiener_deconvolve, one antenna at a time."""
     params = ensemble.params
-    probe = experiment.gen_chirp(
-        params.bandwidth_hz, chirp_duration_s, params.sample_rate_hz, params.carrier_hz
-    )
+    probe = experiment.gen_chirp(params.bandwidth_hz, chirp_duration_s, params.sample_rate_hz)
     gen = np.random.default_rng(rng)
     estimates = []
     for a in range(ensemble.n_tx):
-        cir = ensemble.cir(a, rx_index)
-        rx = convolve(probe, Waveform(cir.taps, cir.sample_rate_hz, cir.carrier_hz))
+        rx = convolve(probe, ensemble.cirs[a, rx_index])
         epsilon = None
         if sounding_snr_db is not None:
-            power = float(np.mean(np.abs(rx.samples) ** 2))
+            power = float(np.mean(np.abs(rx) ** 2))
             sigma2 = power * 10.0 ** (-sounding_snr_db / 10.0)
             noise = gen.standard_normal(len(rx)) + 1j * gen.standard_normal(len(rx))
-            rx = Waveform(rx.samples + np.sqrt(sigma2 / 2.0) * noise, rx.sample_rate_hz)
+            rx = rx + np.sqrt(sigma2 / 2.0) * noise
             epsilon = sigma2 * len(rx)
         estimates.append(
             wiener_deconvolve(rx, probe, epsilon, cir_length=ensemble.cir_length)
         )
-    return estimates
+    return np.array(estimates)
 
 
 def no_tr_power(ensemble, chirp_duration_s, tx_energy):
@@ -116,9 +109,7 @@ def no_tr_power(ensemble, chirp_duration_s, tx_energy):
     scaled to tx_energy, and the record at each position is averaged in
     power over its full length."""
     params = ensemble.params
-    probe = experiment.gen_chirp(
-        params.bandwidth_hz, chirp_duration_s, params.sample_rate_hz, params.carrier_hz
-    )
-    filt = probe.samples * math.sqrt(tx_energy / probe.energy)
+    probe = experiment.gen_chirp(params.bandwidth_hz, chirp_duration_s, params.sample_rate_hz)
+    filt = probe * math.sqrt(tx_energy / np.sum(np.abs(probe) ** 2))
     summed = ensemble.cirs.sum(axis=0)
     return np.array([np.mean(np.abs(np.convolve(filt, h)) ** 2) for h in summed])

@@ -21,7 +21,7 @@ from trfocus.cli import main as cli_main
 from trfocus.experiment import PRESETS, config_from_preset, reproduce, run_trials, sound_cirs
 from trfocus.link import focus_field
 from trfocus.precoding import equivalence_residual, tr_filters
-from trfocus.signalops import Cir, inband_nmse_db
+from trfocus.signalops import inband_nmse_db
 
 
 def _report(number, name, ok, detail):
@@ -152,11 +152,7 @@ class TestAcceptance:
             n_tx = int(rng.integers(1, 9))
             length = int(rng.integers(2, 128))
             cirs = [
-                Cir(
-                    rng.standard_normal(length) + 1j * rng.standard_normal(length),
-                    1.0,
-                    1.0,
-                )
+                rng.standard_normal(length) + 1j * rng.standard_normal(length)
                 for _ in range(n_tx)
             ]
             bank = tr_filters(cirs, total_energy=float(rng.uniform(0.25, 4.0)))
@@ -196,7 +192,7 @@ class TestAcceptance:
                 worst = max(
                     worst,
                     inband_nmse_db(
-                        est.taps,
+                        est,
                         ens.cirs[a, config.target_index],
                         config.cavity.bandwidth_hz,
                         config.cavity.sample_rate_hz,

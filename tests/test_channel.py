@@ -250,6 +250,13 @@ class TestBuildEnsemble:
             spec[0, 0, 0] = 1.0
         nfft = scipy.fft.next_fast_len(2 * ens.cir_length - 1)
         np.testing.assert_array_equal(spec, np.fft.fft(ens.cirs, nfft, axis=2))
+        # cirs_at is a read-only (n_tx, L) view of cirs, not a copy.
+        for rx in range(2):
+            taps = ens.cirs_at(rx)
+            np.testing.assert_array_equal(taps, ens.cirs[:, rx])
+            assert taps.shape == (2, ens.cir_length) and np.shares_memory(taps, ens.cirs)
+            with pytest.raises(ValueError):
+                taps[0, 0] = 1.0
 
     @pytest.mark.parametrize("shape", [(1, 1, 5), (3, 2, 17), (2, 5, 40)])
     def test_spectrum_is_a_view_of_its_frequency_major_copy(self, shape):

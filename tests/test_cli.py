@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import trfocus
 from trfocus.cli import main
-from trfocus.experiment import config_from_preset, run_experiment
+from trfocus.experiment import config_from_preset, run_experiment, run_trials, write_outputs
 
 SUMMARY_KEYS = {
     "fc_hz",
@@ -162,6 +163,34 @@ class TestRunCommand:
         trials = json.loads((out / "trials.json").read_text())
         assert all(len(t["sir_db"]) == 2 for t in trials)
 
+    def test_metric_sentinels_are_strict_json(self, tmp_path, capsys):
+        def reject(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        # A symbol period past the record leaves no ISI: the +inf sentinel.
+        config = dict(BASE_CONFIG, symbol_period_samples=100000, outdir=str(tmp_path / "isi"))
+        path = tmp_path / "isi.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("run", "--config", path) == 0
+        capsys.readouterr()
+        trials = json.loads((tmp_path / "isi" / "trials.json").read_text(), parse_constant=reject)
+        assert trials[0]["isi_ratio_db"] == "inf"
+        json.loads((tmp_path / "isi" / "summary.json").read_text(), parse_constant=reject)
+
+        # SIR sentinels reach summary.json through the per-trial mean.
+        values = dict(config, outdir=str(tmp_path / "sir"))
+        scenario = config_from_preset(values.pop("preset"), **values)
+        output = run_trials(scenario)[0]
+        output = dataclasses.replace(
+            output, report=dataclasses.replace(output.report, sir_db=[math.inf, math.inf])
+        )
+        summary = write_outputs(scenario, [output], scenario.outdir)
+        assert summary["mean_sir_db"] == "inf"
+        trials = json.loads((tmp_path / "sir" / "trials.json").read_text(), parse_constant=reject)
+        assert trials[0]["sir_db"] == ["inf", "inf"]
+        written = json.loads((tmp_path / "sir" / "summary.json").read_text(), parse_constant=reject)
+        assert written == summary
+
     def test_sounded_mode_runs(self, tmp_path):
         out = tmp_path / "snd"
         code = run_cli("run", "--preset", "subthz", "--trials", "1", "--seed", "1",
@@ -220,10 +249,20 @@ class TestRunCommand:
             ("--preset", "subthz", "--bandwidth", "1e308"),
             ("--preset", "subthz", "--bandwidth", "1e100"),
             ("--preset", "sub6ghz", "--bandwidth", "1e28"),
+            # A size past float range in a budget error.
+            ("--preset", "subthz", "--nt", "1" + "0" * 400),
         ]
-        for args in bad_args:
+        # Budget errors for sizes hundreds of digits long, which they round.
+        short_errors = [
+            ("--preset", "subthz", "--bandwidth", "1e300", "--csi", "sounded"),
+            ("--preset", "subthz", "--chirp-duration", "1e200", "--csi", "sounded"),
+        ]
+        for args in bad_args + short_errors:
             assert run_cli("run", *args, "--outdir", tmp_path / "bad") == 2, args
-            assert capsys.readouterr().err.startswith("error:"), args
+            err = capsys.readouterr().err
+            assert err.startswith("error:"), args
+            if args in short_errors:
+                assert len(err) < 200, err
         assert not (tmp_path / "bad").exists()
 
     @settings(

@@ -37,13 +37,14 @@ from trfocus.experiment import (
     thread_count,
     write_outputs,
 )
-from trfocus.signalops import Cir, Waveform, inband_nmse_db
+from trfocus.precoding import tr_filters
+from trfocus.signalops import inband_nmse_db
 
 
 def outcome(fn, *args):
     """The taps fn returns, or the type of the error it raises."""
     try:
-        return np.array([c.taps for c in fn(*args)])
+        return fn(*args)
     except Exception as exc:  # noqa: BLE001 - the type is the outcome
         return type(exc)
 
@@ -197,9 +198,10 @@ class TestSounding:
         config = self.small_config()
         ens = build_ensemble(config.cavity, config.grid, config.n_tx, 3)
         estimates = sound_cirs(ens, 1, 1e-6, None, np.random.default_rng(0))
+        assert estimates.shape == (config.n_tx, ens.cir_length)
         for a, est in enumerate(estimates):
             nmse = inband_nmse_db(
-                est.taps,
+                est,
                 ens.cirs[a, 1],
                 config.cavity.bandwidth_hz,
                 config.cavity.sample_rate_hz,
@@ -210,9 +212,10 @@ class TestSounding:
         config = self.small_config()
         ens = build_ensemble(config.cavity, config.grid, config.n_tx, 4)
         estimates = sound_cirs(ens, 1, 1e-6, 30.0, np.random.default_rng(1))
+        assert estimates.shape == (config.n_tx, ens.cir_length)
         for a, est in enumerate(estimates):
             nmse = inband_nmse_db(
-                est.taps,
+                est,
                 ens.cirs[a, 1],
                 config.cavity.bandwidth_hz,
                 config.cavity.sample_rate_hz,
@@ -234,7 +237,7 @@ class TestSounding:
         ens = build_ensemble(config.cavity, config.grid, config.n_tx, 3)
         for snr_db in (-300.0, 300.0):
             self.small_config(sounding_snr_db=snr_db)
-            taps = [c.taps for c in sound_cirs(ens, 1, 1e-6, snr_db, 0)]
+            taps = sound_cirs(ens, 1, 1e-6, snr_db, 0)
             assert np.isfinite(taps).all()
 
     @pytest.mark.parametrize("snr_db", [None, 30.0])
@@ -265,7 +268,7 @@ class TestSounding:
 
     def test_non_finite_taps_raise_parameter_error(self):
         # No ensemble holds a non-finite tap, so sound_cirs never sees one;
-        # the oracle's per-antenna Cir rejects such taps the same way.
+        # tr_filters rejects such taps the same way.
         config = self.small_config()
         for bad in (np.nan, np.inf):
             cirs = build_ensemble(config.cavity, config.grid, 2, 14).cirs.copy()
@@ -273,7 +276,7 @@ class TestSounding:
             with pytest.raises(ParameterError, match="finite"):
                 ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=2)
             with pytest.raises(ParameterError, match="finite"):
-                Cir(cirs[1, 1], config.cavity.sample_rate_hz, config.cavity.carrier_hz)
+                tr_filters(cirs[:, 1])
 
     @pytest.mark.parametrize("rx", [-1, -3, 3, 99, 1.0])
     def test_off_grid_index_raises_invalid_target(self, rx):
@@ -294,10 +297,7 @@ class TestSounding:
         cirs = build_ensemble(config.cavity, config.grid, 2, 15).cirs.copy()
         cirs[0, 1] = 0.0
         ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=2)
-        fs = config.cavity.sample_rate_hz
-        monkeypatch.setattr(
-            experiment, "gen_chirp", lambda *args: Waveform(probe_samples, fs, 2.5e9)
-        )
+        monkeypatch.setattr(experiment, "gen_chirp", lambda *args: probe_samples)
         assert outcome(sound_cirs, ens, 1, 1e-6, 30.0, 0) is error
         assert outcome(sound_cirs_per_antenna, ens, 1, 1e-6, 30.0, 0) is error
 

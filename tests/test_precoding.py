@@ -10,21 +10,16 @@ from trfocus.errors import (
     DegenerateChannelError,
     DimensionMismatchError,
     ParameterError,
+    TrfocusError,
 )
 from trfocus.precoding import equivalence_residual, mrt_weights, tr_filters
-from trfocus.signalops import Cir
 
 
-def random_cirs(rng, n_tx, length, rate=1.0, carrier=1.0):
-    return [
-        Cir(
-            (rng.standard_normal(length) + 1j * rng.standard_normal(length))
-            / np.sqrt(2 * length),
-            rate,
-            carrier,
-        )
+def random_cirs(rng, n_tx, length):
+    return np.array([
+        (rng.standard_normal(length) + 1j * rng.standard_normal(length)) / np.sqrt(2 * length)
         for _ in range(n_tx)
-    ]
+    ])
 
 
 class TestTrFilters:
@@ -32,7 +27,7 @@ class TestTrFilters:
         length = 16
         taps = np.zeros(length, dtype=complex)
         taps[0] = 1.0
-        bank = tr_filters([Cir(taps, 1.0, 1.0)], total_energy=1.0)
+        bank = tr_filters([taps], total_energy=1.0)
         expected = np.zeros(length, dtype=complex)
         expected[length - 1] = 1.0
         np.testing.assert_allclose(bank.filters[0], expected, atol=1e-15)
@@ -43,7 +38,7 @@ class TestTrFilters:
         for _ in range(2):
             taps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             taps /= np.linalg.norm(taps)  # unit energy each
-            cirs.append(Cir(taps, 1.0, 1.0))
+            cirs.append(taps)
         bank = tr_filters(cirs, total_energy=1.0)
         energies = np.sum(np.abs(bank.filters) ** 2, axis=1)
         np.testing.assert_allclose(energies, [0.5, 0.5], rtol=1e-12)
@@ -63,22 +58,49 @@ class TestTrFilters:
         np.testing.assert_allclose(scaled.filters, 2.0 * base.filters, rtol=1e-12)
 
     def test_degenerate_channel(self):
-        zeros = [Cir(np.zeros(8), 1.0, 1.0)]
+        zeros = np.zeros((1, 8))
         with pytest.raises(DegenerateChannelError):
             tr_filters(zeros)
+        # Non-finite or non-numeric taps are rejected before any arithmetic.
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+            taps = np.ones((2, 8), dtype=complex)
+            taps[1, 3] = bad
+            for fn in (tr_filters, lambda c: mrt_weights(c, 16)):
+                with pytest.raises(ParameterError, match="finite"):
+                    fn(taps)
+        for junk in ("taps", [["1", "2"]], [[None, 1.0]], [[True, False]]):
+            with pytest.raises(TrfocusError):
+                tr_filters(junk)
 
     def test_mismatched_lengths(self):
         rng = np.random.default_rng(3)
-        cirs = random_cirs(rng, 1, 8) + random_cirs(rng, 1, 9)
+        cirs = [*random_cirs(rng, 1, 8), *random_cirs(rng, 1, 9)]
         with pytest.raises(DimensionMismatchError):
             tr_filters(cirs)
+        # Every input that is not one non-empty (n_tx, L) array: a ragged
+        # nesting, one CIR, a batch of banks, no antennas or no taps.
+        bad_shapes = (
+            [[1.0, 2.0], [1.0]],
+            np.ones(8),
+            np.ones((2, 3, 8)),
+            np.ones((0, 8)),
+            np.ones((2, 0)),
+            [],
+            1.0,
+        )
+        for cirs in bad_shapes:
+            for fn in (tr_filters, lambda c: mrt_weights(c, 16)):
+                with pytest.raises(DimensionMismatchError):
+                    fn(cirs)
+            with pytest.raises(DimensionMismatchError):
+                equivalence_residual(tr_filters(np.ones((2, 8))), cirs)
 
 
 class TestMrtWeights:
     def test_flat_channel_gives_constant_magnitude(self):
         taps = np.zeros(8, dtype=complex)
         taps[0] = 1.0
-        w = mrt_weights([Cir(taps, 1.0, 1.0)], n_bins=16)[0]
+        w = mrt_weights([taps], n_bins=16)[0]
         np.testing.assert_allclose(np.abs(w), np.abs(w[0]), rtol=1e-12)
 
     def test_conjugation_makes_product_real_nonnegative(self):
@@ -88,7 +110,7 @@ class TestMrtWeights:
         w = mrt_weights(cirs, n_bins)
         assert not w.flags.writeable
         for a, cir in enumerate(cirs):
-            spectrum = np.fft.fft(cir.taps, n_bins)
+            spectrum = np.fft.fft(cir, n_bins)
             product = w[a] * spectrum
             assert np.max(np.abs(product.imag)) < 1e-12 * np.max(product.real)
             assert product.real.min() >= -1e-15
@@ -98,7 +120,7 @@ class TestMrtWeights:
         cirs = random_cirs(rng, 3, 10)
         n_bins = 32
         w = mrt_weights(cirs, n_bins)
-        spectra = np.stack([np.fft.fft(c.taps, n_bins) for c in cirs])
+        spectra = np.fft.fft(cirs, n_bins, axis=1)
         ratio = np.abs(w) / np.abs(spectra)
         assert np.max(np.abs(ratio - ratio[0, 0])) < 1e-12
 
@@ -119,7 +141,7 @@ class TestEquivalenceResidual:
             assert equivalence_residual(bank, cirs) < 1e-10
 
     def test_single_tap_is_exact(self):
-        cirs = [Cir(np.array([0.3 + 0.4j]), 1.0, 1.0)]
+        cirs = [[0.3 + 0.4j]]
         bank = tr_filters(cirs)
         assert equivalence_residual(bank, cirs) < 1e-14
 
@@ -148,8 +170,7 @@ class TestPeakOptimality:
         # amplitude among all banks with the same total energy.
         rng = np.random.default_rng(10)
         n_tx, length, e_tx = 4, 24, 1.0
-        cirs = random_cirs(rng, n_tx, length)
-        taps = np.stack([c.taps for c in cirs])
+        taps = random_cirs(rng, n_tx, length)
         tr_peak = np.sqrt(e_tx * np.sum(np.abs(taps) ** 2))
         flipped = taps[:, ::-1]
         draws = 1000
@@ -176,5 +197,5 @@ def test_joint_normalization_property(parts, e_tx):
     # tighter than criterion 5's 1e-9.
     taps = parts[..., 0] + 1j * parts[..., 1]
     assume(np.sum(np.abs(taps) ** 2) > 1e-200)  # all-zero CIRs have no bank
-    bank = tr_filters([Cir(row, 1.0, 1.0) for row in taps], total_energy=e_tx)
+    bank = tr_filters(taps, total_energy=e_tx)
     assert abs(np.sum(np.abs(bank.filters) ** 2) - e_tx) <= 1e-12 * e_tx

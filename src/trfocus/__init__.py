@@ -48,7 +48,7 @@ from .metrics import (
     spatial_profile,
     temporal_fwhm,
 )
-from .precoding import TrFilterBank, equivalence_residual, mrt_weights, tr_filters
+from .precoding import equivalence_residual, mrt_weights, tr_filters
 from .signalops import gen_chirp, inband_nmse_db
 
 __version__ = "0.1.0"

@@ -112,6 +112,10 @@ class CavityParams:
         rate = max(self.sample_rate_hz, 2.0 * math.pi * self.carrier_hz)
         if not math.isfinite(self.max_delay_s * rate):
             raise ParameterError("max_delay_s times the sample rate or 2 pi f_c must be finite")
+        if self.bandwidth_hz >= 2.0 * self.carrier_hz:  # the band f_c +- B/2 is above 0 Hz
+            raise ParameterError(
+                f"bandwidth_hz must be below 2 * carrier_hz: {self.bandwidth_hz:g} Hz"
+            )
 
     @property
     def sample_rate_hz(self) -> float:
@@ -173,19 +177,20 @@ def _spectrum_length(cir_length: int) -> int:
     return best
 
 
-def _mib(n_bytes: int) -> str:
-    """n_bytes in MiB to three significant digits.  Decimal formats an int
-    past float range too, such as the size of a grid for 10**400 antennas."""
-    from decimal import Decimal  # about 1 ms of import, paid on this path only
+def _sig3(n: int) -> str:
+    """n to three significant digits.  Decimal formats an int past float
+    range too, such as 10**400 antennas or the size of their grid."""
+    from decimal import Decimal  # about 1 ms of import, paid on error paths only
 
-    return f"{Decimal(n_bytes >> 20):.3g}"
+    return f"{Decimal(n):.3g}"
 
 
 def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
     """Raise ParameterError when a dimension is below 1 or the CIRs and the
     spectrum of an ensemble would exceed ENSEMBLE_BUDGET_BYTES."""
     if min(n_tx, n_rx, cir_length) < 1:
-        raise ParameterError(f"n_tx, n_rx and cir_length must be >= 1: {n_tx, n_rx, cir_length}")
+        dims = ", ".join(map(_sig3, (n_tx, n_rx, cir_length)))
+        raise ParameterError(f"n_tx, n_rx and cir_length must be >= 1: ({dims})")
     # The spectrum has at least 2L - 1 bins; that bound rejects a huge L
     # before _spectrum_length enumerates the smooth numbers below it.
     n_bytes = 16 * n_tx * n_rx * (3 * cir_length - 1)
@@ -193,8 +198,9 @@ def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
         n_bytes = 16 * n_tx * n_rx * (cir_length + _spectrum_length(cir_length))
     if n_bytes > ENSEMBLE_BUDGET_BYTES:
         raise ParameterError(
-            f"an ensemble of {n_tx} x {n_rx} CIRs of {cir_length} taps needs at least "
-            f"{_mib(n_bytes)} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
+            f"an ensemble of {_sig3(n_tx)} x {_sig3(n_rx)} CIRs of {_sig3(cir_length)} taps "
+            f"needs at least {_sig3(n_bytes >> 20)} MiB, "
+            f"over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
         )
 
 

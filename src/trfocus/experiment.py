@@ -28,7 +28,7 @@ from .channel import (
     CavityParams,
     ChannelEnsemble,
     RxGrid,
-    _mib,
+    _sig3,
     _spectrum_length,
     build_ensemble,
     check_ensemble_size,
@@ -50,7 +50,7 @@ from .metrics import (
     spatial_profile,
     temporal_fwhm,
 )
-from .precoding import TrFilterBank, tr_filters
+from .precoding import tr_filters
 from .signalops import gen_chirp
 
 THREADS_ENV_VAR = "TRFOCUS_THREADS"
@@ -166,7 +166,7 @@ def _check_sounding_size(
     if n_bytes > ENSEMBLE_BUDGET_BYTES:
         raise ParameterError(
             f"sounding {n_tx} antennas with a {chirp_duration_s:g} s chirp needs "
-            f"{_mib(n_bytes)} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
+            f"{_sig3(n_bytes >> 20)} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
         )
 
 
@@ -382,7 +382,7 @@ def sound_cirs(
 
 def _bank_for_target(
     config: ScenarioConfig, ensemble: ChannelEnsemble, rx_index: int, noise_rng
-) -> TrFilterBank:
+) -> np.ndarray:
     if config.csi_mode == "sounded":
         cirs = sound_cirs(
             ensemble, rx_index, config.chirp_duration_s, config.sounding_snr_db, noise_rng

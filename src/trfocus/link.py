@@ -13,7 +13,6 @@ import numpy as np
 
 from .channel import ChannelEnsemble
 from .errors import DimensionMismatchError, InvalidTargetError, ParameterError
-from .precoding import TrFilterBank
 
 
 @dataclass(frozen=True)
@@ -30,8 +29,9 @@ class SpaceTimeField:
         arr = np.asarray(self.field, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != np.asarray(self.positions_m).size:
             raise DimensionMismatchError("field must have shape (n_rx, n_time)")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable:  # a writable array is copied, never frozen
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "field", arr)
 
     @property
@@ -58,41 +58,48 @@ class TrdmaResult:
         return self.per_user_rx.shape[0]
 
 
-def _bank_through_channel(bank: TrFilterBank, spectrum_fm: np.ndarray) -> np.ndarray:
+def _check_bank(bank, ensemble: ChannelEnsemble) -> None:
+    """A bank is an (n_tx, L) array, as tr_filters returns."""
+    shape = (ensemble.n_tx, ensemble.cir_length)
+    if not isinstance(bank, np.ndarray) or bank.shape != shape:
+        got = getattr(bank, "shape", type(bank).__name__)
+        raise DimensionMismatchError(f"a TR bank must be an {shape} array, got {got}")
+
+
+def _bank_through_channel(bank: np.ndarray, spectrum_fm: np.ndarray) -> np.ndarray:
     """sum_a w_a * h_{a,x} for every position x; rows of length 2L-1.
 
     spectrum_fm is ChannelEnsemble.spectrum.transpose(2, 0, 1), or target
     columns of it: (nfft, n_tx, n_rx) with nfft >= 2L-1; the filters share
     L.  Each bin is one (1 x n_tx) @ (n_tx x n_rx) BLAS product.
     """
-    n_out = 2 * bank.filter_length - 1
-    spec_w = np.fft.fft(bank.filters, spectrum_fm.shape[0], axis=1)  # (n_tx, nfft)
+    n_out = 2 * bank.shape[1] - 1
+    spec_w = np.fft.fft(bank, spectrum_fm.shape[0], axis=1)  # (n_tx, nfft)
     spec_y = np.matmul(spec_w.T[:, None, :], spectrum_fm)  # (nfft, 1, n_rx)
     return np.fft.ifft(spec_y[:, 0, :].T, axis=1)[:, :n_out]
 
 
-def focus_field(bank: TrFilterBank, ensemble: ChannelEnsemble) -> SpaceTimeField:
+def focus_field(bank: np.ndarray, ensemble: ChannelEnsemble) -> SpaceTimeField:
     """Transmit the bank through every probed CIR of the ensemble.
 
     y_x[n] = sum_a (w_a * h_{a,x})[n].  With perfect CSI for target x0 the
     sample at the focusing instant L-1 is sqrt(E_tx * sum_a ||h_{a,x0}||^2),
     real and positive.
     """
-    if bank.filter_length != ensemble.cir_length:
-        raise DimensionMismatchError("filter length differs from CIR length")
-    if bank.n_tx != ensemble.n_tx:
-        raise DimensionMismatchError("antenna counts differ")
+    _check_bank(bank, ensemble)
+    field = _bank_through_channel(bank, ensemble.spectrum.transpose(2, 0, 1))
+    field.setflags(write=False)  # SpaceTimeField keeps it without a copy
     return SpaceTimeField(
-        field=_bank_through_channel(bank, ensemble.spectrum.transpose(2, 0, 1)),
+        field=field,
         positions_m=ensemble.grid.positions_m,
-        peak_index=bank.filter_length - 1,
+        peak_index=ensemble.cir_length - 1,
         sample_rate_hz=ensemble.sample_rate_hz,
         oversample=ensemble.params.oversample,
     )
 
 
 def trdma_link(
-    banks: Sequence[TrFilterBank],
+    banks: Sequence[np.ndarray],
     ensemble: ChannelEnsemble,
     targets: Sequence[int],
     symbol_period_samples: int,
@@ -114,8 +121,7 @@ def trdma_link(
         raise ParameterError("symbol_period_samples must be >= 1")
     length = ensemble.cir_length
     for bank in banks:
-        if bank.filter_length != length or bank.n_tx != ensemble.n_tx:
-            raise DimensionMismatchError("bank dimensions differ from ensemble")
+        _check_bank(bank, ensemble)
     target_spectra = ensemble.spectrum.transpose(2, 0, 1)[:, :, list(targets)]  # (nfft, n_tx, U)
     table = np.empty((n_users, n_users, 2 * length - 1), dtype=np.complex128)
     for v, bank in enumerate(banks):

@@ -1,14 +1,13 @@
 """Time-reversal transmit filters and their frequency-domain twin.
 
-A TR filter bank re-emits the conjugated, time-flipped CIR of each
-antenna; maximum-ratio weights conjugate the channel per frequency bin.
-Both are normalized jointly across antennas to one total transmit energy,
-and agree bin-by-bin up to a pure delay of L-1 samples.
+A TR filter bank is a read-only (n_tx, L) complex array: row a re-emits
+the conjugated, time-flipped CIR of antenna a.  Maximum-ratio weights
+conjugate the channel per frequency bin.  Both are normalized jointly
+across antennas to one total transmit energy, and agree bin-by-bin up to
+a pure delay of L-1 samples.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,40 +38,17 @@ def _joint_scale(taps: np.ndarray, total_energy: float) -> float:
     return float(np.sqrt(total / total_energy))
 
 
-@dataclass(frozen=True)
-class TrFilterBank:
-    """Per-antenna TR filters sharing one transmit energy budget."""
-
-    filters: np.ndarray  # complex, shape (n_tx, L)
-    total_energy: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.filters, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise DimensionMismatchError("filters must have shape (n_tx, L)")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "filters", arr)
-
-    @property
-    def n_tx(self) -> int:
-        return self.filters.shape[0]
-
-    @property
-    def filter_length(self) -> int:
-        return self.filters.shape[1]
-
-
-def tr_filters(cirs, total_energy: float = 1.0) -> TrFilterBank:
-    """Build TR filters w_a[n] = conj(h_a[L-1-n]) / c from the (n_tx, L)
-    array-like of per-antenna CIRs h.
+def tr_filters(cirs, total_energy: float = 1.0) -> np.ndarray:
+    """The TR bank w_a[n] = conj(h_a[L-1-n]) / c of the (n_tx, L) array-like
+    of per-antenna CIRs h, as a read-only complex (n_tx, L) array.
 
     c = sqrt(sum_a ||h_a||^2 / total_energy), so the bank's summed filter
-    energy equals total_energy exactly.
+    energy equals total_energy to within 1e-12 relative.
     """
     taps = _stack_cirs(cirs)
-    scale = _joint_scale(taps, total_energy)
-    return TrFilterBank(np.conj(taps[:, ::-1]) / scale, total_energy)
+    bank = np.conj(taps[:, ::-1]) / _joint_scale(taps, total_energy)
+    bank.setflags(write=False)
+    return bank
 
 
 def mrt_weights(cirs, n_bins: int, total_energy: float = 1.0) -> np.ndarray:
@@ -91,8 +67,9 @@ def mrt_weights(cirs, n_bins: int, total_energy: float = 1.0) -> np.ndarray:
     return weights
 
 
-def equivalence_residual(bank: TrFilterBank, cirs) -> float:
-    """How far the bank is from conjugate per-bin precoding.
+def equivalence_residual(bank, cirs) -> float:
+    """How far the (n_tx, L) array-like bank is from conjugate per-bin
+    precoding of the same total energy, sum |w|^2.
 
     Transforms the TR filters on an n_bins = 2L-1 grid, removes the pure
     delay of L-1 samples, and returns the larger of the complex residual
@@ -100,13 +77,13 @@ def equivalence_residual(bank: TrFilterBank, cirs) -> float:
     residual max ||W_tr| - |W_mrt||, both relative to max |W_mrt|.
     Exact TR banks built from the same CIRs give < 1e-10.
     """
-    taps = _stack_cirs(cirs)
-    if taps.shape[0] != bank.n_tx or taps.shape[1] != bank.filter_length:
+    filters, taps = _stack_cirs(bank), _stack_cirs(cirs)
+    if filters.shape != taps.shape:
         raise DimensionMismatchError("bank and CIR dimensions differ")
-    length = bank.filter_length
+    length = taps.shape[1]
     n_bins = 2 * length - 1
-    w_tr = np.fft.fft(bank.filters, n_bins, axis=1)
-    w_mrt = mrt_weights(taps, n_bins, bank.total_energy)
+    w_tr = np.fft.fft(filters, n_bins, axis=1)
+    w_mrt = mrt_weights(taps, n_bins, float(np.sum(np.abs(filters) ** 2)))
     ref = float(np.max(np.abs(w_mrt)))
     if ref == 0.0:
         raise DegenerateChannelError("all CIRs are zero")

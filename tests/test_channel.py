@@ -66,6 +66,11 @@ class TestValidation:
             with pytest.raises(ParameterError, match=f"{name} must be an integer"):
                 small_params(**{name: value})
         assert small_params(n_paths=np.int64(8), oversample=np.int32(3)).oversample == 3
+        # Complex baseband needs B < 2 f_c.
+        for bandwidth in (20e9, 1e20):
+            with pytest.raises(ParameterError, match=r"below 2 \* carrier_hz"):
+                small_params(bandwidth_hz=bandwidth, max_delay_s=1e-9)
+        assert small_params(bandwidth_hz=19.9e9, max_delay_s=1e-9).bandwidth_hz == 19.9e9
 
     def test_delay_span_in_samples_and_carrier_cycles_must_be_finite(self):
         # At B = 1e308 the 2x-oversampled sample rate is inf; a 100 s delay

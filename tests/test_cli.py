@@ -249,11 +249,14 @@ class TestRunCommand:
             ("--preset", "subthz", "--bandwidth", "1e308"),
             ("--preset", "subthz", "--bandwidth", "1e100"),
             ("--preset", "sub6ghz", "--bandwidth", "1e28"),
-            # A size past float range in a budget error.
-            ("--preset", "subthz", "--nt", "1" + "0" * 400),
+            # Bandwidths at or past twice the carrier, 2 * 273.6 GHz.
+            ("--preset", "subthz", "--bandwidth", "1e20"),
+            ("--preset", "subthz", "--bandwidth", "5.472e11"),
         ]
-        # Budget errors for sizes hundreds of digits long, which they round.
+        # Errors for sizes hundreds of digits long, which they round.
         short_errors = [
+            ("--preset", "subthz", "--nt", "1" + "0" * 400),
+            ("--preset", "subthz", "--nt", "-1" + "0" * 400),
             ("--preset", "subthz", "--bandwidth", "1e300", "--csi", "sounded"),
             ("--preset", "subthz", "--chirp-duration", "1e200", "--csi", "sounded"),
         ]
@@ -300,19 +303,20 @@ class TestRunCommand:
 
     def test_oversized_grid_exits_2_without_allocating(self, tmp_path):
         # A 1 nm step gives 3e8 grid points: 2.2 GiB of positions alone and
-        # terabytes of taps.  A 1 s chirp, or a 1 PHz band with the default
-        # 1 us chirp, makes each sounding record 64 GiB or more of spectra
-        # on a one-point grid.  The child runs under a 3 GiB address-space
-        # limit, so a missing size check fails the test instead of
-        # exhausting the host's memory.
+        # terabytes of taps.  A 1 s chirp makes each sounding record 64 GiB
+        # or more of spectra on a one-point grid.  A 1 PHz band would too
+        # with the default 1 us chirp, but it is 4e5 times the 2.5 GHz
+        # carrier, so the bandwidth bound refuses it first.  The child runs
+        # under a 3 GiB address-space limit, so a missing check fails the
+        # test instead of exhausting the host's memory.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
         one_point = ["--grid-start", "0.1", "--grid-stop", "0.1", "--grid-step", "0.01"]
-        for args in (
-            ["--grid-start", "0", "--grid-stop", "0.3", "--grid-step", "1e-9"],
-            [*one_point, "--csi", "sounded", "--chirp-duration", "1"],
-            [*one_point, "--csi", "sounded", "--bandwidth", "1e15"],
+        for args, reason in (
+            (["--grid-start", "0", "--grid-stop", "0.3", "--grid-step", "1e-9"], "budget"),
+            ([*one_point, "--csi", "sounded", "--chirp-duration", "1"], "budget"),
+            ([*one_point, "--csi", "sounded", "--bandwidth", "1e15"], "below 2 * carrier_hz"),
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "trfocus", "run", "--preset", "sub6ghz", *args,
@@ -321,7 +325,7 @@ class TestRunCommand:
                 preexec_fn=limit_memory, timeout=120,
             )
             assert proc.returncode == 2, (args, proc.stderr)
-            assert proc.stderr.startswith("error:") and "budget" in proc.stderr, args
+            assert proc.stderr.startswith("error:") and reason in proc.stderr, args
             assert "Traceback" not in proc.stderr, args
             assert not (tmp_path / "bad").exists()
 

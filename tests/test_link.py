@@ -12,7 +12,7 @@ from oracles import convolved_sum
 from trfocus.channel import CavityParams, ChannelEnsemble, RxGrid, build_ensemble
 from trfocus.errors import DimensionMismatchError, InvalidTargetError
 from trfocus.experiment import sound_cirs
-from trfocus.link import focus_field, trdma_link
+from trfocus.link import SpaceTimeField, focus_field, trdma_link
 from trfocus.precoding import tr_filters
 
 
@@ -56,7 +56,7 @@ class TestFocusField:
         peak = fld.field[0, length - 1]
         assert peak == pytest.approx(1.0)  # sqrt(E_tx) for a unit channel
         np.testing.assert_allclose(
-            fld.field[0, : length], bank.filters[0], atol=1e-12
+            fld.field[0, : length], bank[0], atol=1e-12
         )
 
     def test_peak_identity_perfect_csi(self):
@@ -78,9 +78,21 @@ class TestFocusField:
         bank = tr_filters(ens.cirs_at(2), 1.0)
         fld = focus_field(bank, ens)
         for x in range(len(grid)):
-            ref = convolved_sum(bank.filters, ens.cirs[:, x])
+            ref = convolved_sum(bank, ens.cirs[:, x])
             err = np.linalg.norm(fld.field[x] - ref) / np.linalg.norm(ref)
             assert err <= 1e-12
+
+    def test_field_is_read_only_and_never_aliases_a_caller_array(self):
+        params = rich_params(n_paths=50)
+        ens = build_ensemble(params, RxGrid(np.array([0.0, 0.02])), 2, 6)
+        fld = focus_field(tr_filters(ens.cirs_at(0), 1.0), ens)
+        assert not fld.field.flags.writeable
+        mine = np.array(fld.field)
+        copied = SpaceTimeField(mine, fld.positions_m, fld.peak_index,
+                                fld.sample_rate_hz, fld.oversample)
+        assert mine.flags.writeable and not copied.field.flags.writeable
+        mine[:] = 0.0
+        np.testing.assert_array_equal(copied.field, fld.field)
 
     def test_energy_scaling_preserves_argmax(self):
         params = rich_params(n_paths=100)
@@ -94,9 +106,19 @@ class TestFocusField:
     def test_dimension_mismatch(self):
         params = rich_params(n_paths=50)
         ens = build_ensemble(params, RxGrid(np.array([0.0])), 2, 6)
-        bank = tr_filters(ens.cirs_at(0)[:1], 1.0)  # one antenna only
-        with pytest.raises(DimensionMismatchError):
-            focus_field(bank, ens)
+        bank = tr_filters(ens.cirs_at(0), 1.0)
+        bad_banks = (
+            tr_filters(ens.cirs_at(0)[:1], 1.0),  # one antenna only
+            bank[0],  # 1-D
+            bank[None],  # 3-D
+            bank.T,  # transposed
+            [list(bank[0]), list(bank[1, :-1])],  # ragged list
+        )
+        for bad in bad_banks:
+            with pytest.raises(DimensionMismatchError):
+                focus_field(bad, ens)
+            with pytest.raises(DimensionMismatchError):
+                trdma_link([bad], ens, [0], symbol_period_samples=8)
 
     def test_background_at_least_10db_below_peak(self):
         # Nt = 8 and ~72 resolvable taps: off-peak background of the
@@ -131,7 +153,7 @@ class TestTrdmaLink:
         result = trdma_link(banks, ens, targets, symbol_period_samples=8)
         for v, bank in enumerate(banks):
             for u, t in enumerate(targets):
-                ref = convolved_sum(bank.filters, ens.cirs[:, t])
+                ref = convolved_sum(bank, ens.cirs[:, t])
                 err = np.linalg.norm(result.per_user_rx[v, u] - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12
 
@@ -234,7 +256,7 @@ def test_propagation_matches_time_domain_convolution_property(case):
         banks = [tr_filters(ens.cirs_at(t), 1.0) for t in targets]
     result = trdma_link(banks, ens, targets, symbol_period_samples=4)
     for v, bank in enumerate(banks):
-        ref = np.array([convolved_sum(bank.filters, ens.cirs[:, x]) for x in range(taps.shape[1])])
+        ref = np.array([convolved_sum(bank, ens.cirs[:, x]) for x in range(taps.shape[1])])
         fld = focus_field(bank, ens).field
         assert np.linalg.norm(fld - ref) <= 1e-12 * np.linalg.norm(ref)
         table_ref = ref[targets]
@@ -251,7 +273,7 @@ def test_single_antenna_propagation_is_the_unfused_product():
     # product; a BLAS whose kernel fuses it would fail here.
     ens = build_ensemble(rich_params(n_paths=100), RxGrid(np.array([0.0, 0.01, 0.02])), 1, 11)
     bank = tr_filters(ens.cirs_at(1), 1.0)
-    w = np.fft.fft(bank.filters[0], ens.spectrum.shape[2])
+    w = np.fft.fft(bank[0], ens.spectrum.shape[2])
     h = ens.spectrum[0]
     product = (w.real * h.real - w.imag * h.imag) + 1j * (w.real * h.imag + w.imag * h.real)
     expected = np.fft.ifft(product, axis=1)[:, : 2 * ens.cir_length - 1]

@@ -23,6 +23,17 @@ def random_cirs(rng, n_tx, length):
 
 
 class TestTrFilters:
+    def test_bank_is_read_only_complex_array(self):
+        rng = np.random.default_rng(11)
+        taps = random_cirs(rng, 3, 10)
+        for cirs in (taps, taps.real, list(taps)):
+            bank = tr_filters(cirs)
+            assert type(bank) is np.ndarray
+            assert bank.dtype == np.complex128 and bank.shape == (3, 10)
+            assert not bank.flags.writeable
+            with pytest.raises(ValueError):
+                bank[0, 0] = 0.0
+
     def test_flat_channel_moves_delta_to_last_tap(self):
         length = 16
         taps = np.zeros(length, dtype=complex)
@@ -30,7 +41,7 @@ class TestTrFilters:
         bank = tr_filters([taps], total_energy=1.0)
         expected = np.zeros(length, dtype=complex)
         expected[length - 1] = 1.0
-        np.testing.assert_allclose(bank.filters[0], expected, atol=1e-15)
+        np.testing.assert_allclose(bank[0], expected, atol=1e-15)
 
     def test_symmetric_split_across_two_antennas(self):
         rng = np.random.default_rng(0)
@@ -40,14 +51,14 @@ class TestTrFilters:
             taps /= np.linalg.norm(taps)  # unit energy each
             cirs.append(taps)
         bank = tr_filters(cirs, total_energy=1.0)
-        energies = np.sum(np.abs(bank.filters) ** 2, axis=1)
+        energies = np.sum(np.abs(bank) ** 2, axis=1)
         np.testing.assert_allclose(energies, [0.5, 0.5], rtol=1e-12)
 
     def test_total_energy_exact(self):
         rng = np.random.default_rng(1)
         for e_tx in (1.0, 0.25, 7.5):
             bank = tr_filters(random_cirs(rng, 4, 16), total_energy=e_tx)
-            total = np.sum(np.abs(bank.filters) ** 2)
+            total = np.sum(np.abs(bank) ** 2)
             assert abs(total - e_tx) < 1e-12 * e_tx
 
     def test_energy_scaling_scales_filters_by_sqrt(self):
@@ -55,7 +66,7 @@ class TestTrFilters:
         cirs = random_cirs(rng, 3, 12)
         base = tr_filters(cirs, total_energy=1.0)
         scaled = tr_filters(cirs, total_energy=4.0)
-        np.testing.assert_allclose(scaled.filters, 2.0 * base.filters, rtol=1e-12)
+        np.testing.assert_allclose(scaled, 2.0 * base, rtol=1e-12)
 
     def test_degenerate_channel(self):
         zeros = np.zeros((1, 8))
@@ -149,11 +160,8 @@ class TestEquivalenceResidual:
         rng = np.random.default_rng(8)
         cirs = random_cirs(rng, 2, 16)
         bank = tr_filters(cirs)
-        filters = bank.filters.copy()
-        filters[0, 5] *= 1.10
-        from trfocus.precoding import TrFilterBank
-
-        broken = TrFilterBank(filters, bank.total_energy)
+        broken = bank.copy()
+        broken[0, 5] *= 1.10
         assert equivalence_residual(broken, cirs) > 1e-3
 
     def test_dimension_mismatch(self):
@@ -198,4 +206,4 @@ def test_joint_normalization_property(parts, e_tx):
     taps = parts[..., 0] + 1j * parts[..., 1]
     assume(np.sum(np.abs(taps) ** 2) > 1e-200)  # all-zero CIRs have no bank
     bank = tr_filters(taps, total_energy=e_tx)
-    assert abs(np.sum(np.abs(bank.filters) ** 2) - e_tx) <= 1e-12 * e_tx
+    assert abs(np.sum(np.abs(bank) ** 2) - e_tx) <= 1e-12 * e_tx

@@ -40,7 +40,6 @@ from .experiment import (
 )
 from .link import SpaceTimeField, TrdmaResult, focus_field, trdma_link
 from .metrics import (
-    FocusingReport,
     SpatialProfile,
     focusing_gain,
     isi_ratio,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import KW_ONLY, asdict, dataclass, field
 
 import numpy as np
 
@@ -218,25 +218,26 @@ def _is_index(value, size: int) -> bool:
 class ChannelEnsemble:
     """CIRs indexed by (tx antenna, rx grid position) for one realization.
 
-    ``spectrum`` is the read-only fft(cirs, _spectrum_length(L), axis=2),
-    computed at construction and shared by every bank propagated through
-    this ensemble.  Its memory is frequency-major: spectrum.transpose(2, 0, 1)
-    is C-contiguous, of shape (nfft, n_tx, n_rx).
+    n_tx is cirs.shape[0].  ``spectrum`` is the read-only
+    fft(cirs, _spectrum_length(L), axis=2), computed at construction and
+    shared by every bank propagated through this ensemble.  Its memory is
+    frequency-major: spectrum.transpose(2, 0, 1) is C-contiguous, of shape
+    (nfft, n_tx, n_rx).
     """
 
     cirs: np.ndarray  # complex, shape (n_tx, n_rx, cir_length)
     params: CavityParams
     grid: RxGrid
-    n_tx: int
+    _: KW_ONLY
     seed: int | None = None
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_tx < 1:
-            raise ParameterError("n_tx must be a positive integer")
         arr = np.asarray(self.cirs, dtype=np.complex128)
-        if arr.shape[:2] != (self.n_tx, len(self.grid)):
-            raise DimensionMismatchError("cirs must have shape (n_tx, n_rx, L)")
+        if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != len(self.grid):
+            raise DimensionMismatchError(
+                f"cirs must have shape (n_tx >= 1, n_rx = {len(self.grid)}, L), got {arr.shape}"
+            )
         if arr.shape[2] / self.params.sample_rate_hz < self.params.max_delay_s:
             raise ParameterError("CIR span shorter than max_delay_s")
         if not np.isfinite(arr).all():
@@ -249,6 +250,10 @@ class ChannelEnsemble:
         np.fft.fft(arr, nfft, axis=2, out=spec)  # out= needs numpy >= 2.0
         spec.setflags(write=False)
         object.__setattr__(self, "spectrum", spec)
+
+    @property
+    def n_tx(self) -> int:
+        return self.cirs.shape[0]
 
     @property
     def cir_length(self) -> int:
@@ -409,7 +414,7 @@ def build_ensemble(
         paths = draw_paths(params, gen, boresight)
         for r, x in enumerate(grid.positions_m):
             cirs[a, r] = _synthesize_taps(paths, float(x), params, grid.axis, length)
-    return ChannelEnsemble(cirs=cirs, params=params, grid=grid, n_tx=n_tx, seed=seed)
+    return ChannelEnsemble(cirs=cirs, params=params, grid=grid, seed=seed)
 
 
 def spatial_correlation_theory(
@@ -564,4 +569,4 @@ def load_ensemble(path) -> ChannelEnsemble:
             raise ParameterError(
                 f"{path}: body does not hold {shape[0]}x{shape[1]}x{shape[2]} taps"
             ) from exc
-    return ChannelEnsemble(cirs=cirs, params=params, grid=grid, n_tx=shape[0], seed=seed)
+    return ChannelEnsemble(cirs=cirs, params=params, grid=grid, seed=seed)

@@ -42,14 +42,7 @@ from .errors import (
     ParameterError,
 )
 from .link import focus_field, trdma_link
-from .metrics import (
-    FocusingReport,
-    focusing_gain,
-    isi_ratio,
-    sir,
-    spatial_profile,
-    temporal_fwhm,
-)
+from .metrics import focusing_gain, isi_ratio, sir, spatial_profile, temporal_fwhm
 from .precoding import tr_filters
 from .signalops import gen_chirp
 
@@ -394,15 +387,28 @@ def _bank_for_target(
 
 @dataclass
 class TrialOutput:
-    report: FocusingReport
+    """One trial's metrics, each None where it is dropped, and profiles."""
+
+    trial: int
+    peak_power_db: float
+    temporal_fwhm_s: float | None
+    spatial_fwhm_m: float | None
+    focusing_gain_db: float | None
+    isi_ratio_db: float | None
+    sir_db: list[float] | None
     spatial_power: np.ndarray | None  # linear power per grid position
     temporal_power: np.ndarray  # linear power per time sample, target row
     peak_time_s: float
 
 
+# The TrialOutput fields each trials.json row holds, with the config echo.
+_ROW_FIELDS = ("trial", "peak_power_db", "temporal_fwhm_s", "spatial_fwhm_m",
+               "focusing_gain_db", "isi_ratio_db", "sir_db")
+
+
 def _unless(error: type[Exception], fn: Callable, *args):
     """fn(*args), or None when it raises error: a metric the trial's field
-    does not support is dropped from that trial's report."""
+    does not support is dropped from that trial's record."""
     try:
         return fn(*args)
     except error:
@@ -444,21 +450,14 @@ def _measure_target(
         sir_db = [float(v) for v in sir(result)]
         isi_db = float(np.mean(isi_ratio(result)))
 
-    report = FocusingReport(
+    return TrialOutput(
+        trial=trial,
         peak_power_db=peak_power_db,
         temporal_fwhm_s=t_fwhm,
         spatial_fwhm_m=s_fwhm,
         focusing_gain_db=gain_db,
         isi_ratio_db=isi_db,
         sir_db=sir_db,
-        carrier_hz=config.cavity.carrier_hz,
-        bandwidth_hz=config.cavity.bandwidth_hz,
-        n_tx=config.n_tx,
-        seed=config.seed,
-        trial=trial,
-    )
-    return TrialOutput(
-        report=report,
         spatial_power=spatial_power,
         temporal_power=power_row,
         peak_time_s=peak_n / fld.sample_rate_hz,
@@ -647,17 +646,19 @@ def _db_profile(mean_linear: np.ndarray) -> np.ndarray:
 
 
 def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) -> dict:
-    """Write per-trial CSV rows, mean profiles, reports and the summary.
+    """Write per-trial CSV rows, mean profiles, trial records and the summary.
 
     Files: spatial_trials.csv (trial,position_m,power_db,peak_time_s),
     temporal_trials.csv (trial,time_s,power_db), spatial_mean.csv
     (position_m,power_db; normalized to its peak), temporal_mean.csv
-    (time_s,power_db), trials.json, summary.json.  Returns the summary.
+    (time_s,power_db), trials.json, summary.json.  Each trials.json row
+    and the summary carry the config echo fc_hz, b_hz, nt and seed.
+    Returns the summary.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     positions = config.grid.positions_m
-    trials = np.array([o.report.trial for o in outputs])
+    trials = np.array([o.trial for o in outputs])
 
     times = np.arange(len(outputs[0].temporal_power)) / config.cavity.sample_rate_hz
     _write_csv(
@@ -686,18 +687,22 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
             out / "spatial_mean.csv", "position_m,power_db", positions, _db_profile(mean_spatial)
         )
 
-    _write_json(out / "trials.json", _strict_json([o.report.to_dict() for o in outputs]))
-
-    sir_means = [float(np.mean(o.report.sir_db)) for o in outputs if o.report.sir_db is not None]
-    summary = _strict_json({
+    echo = {
         "fc_hz": config.cavity.carrier_hz,
         "b_hz": config.cavity.bandwidth_hz,
         "nt": config.n_tx,
-        "trials": config.n_trials,
         "seed": config.seed,
-        "mean_temporal_fwhm_s": _mean_or_none(o.report.temporal_fwhm_s for o in outputs),
-        "mean_spatial_fwhm_m": _mean_or_none(o.report.spatial_fwhm_m for o in outputs),
-        "mean_focusing_gain_db": _mean_or_none(o.report.focusing_gain_db for o in outputs),
+    }
+    rows = [{**{name: getattr(o, name) for name in _ROW_FIELDS}, **echo} for o in outputs]
+    _write_json(out / "trials.json", _strict_json(rows))
+
+    sir_means = [float(np.mean(o.sir_db)) for o in outputs if o.sir_db is not None]
+    summary = _strict_json({
+        **echo,
+        "trials": config.n_trials,
+        "mean_temporal_fwhm_s": _mean_or_none(o.temporal_fwhm_s for o in outputs),
+        "mean_spatial_fwhm_m": _mean_or_none(o.spatial_fwhm_m for o in outputs),
+        "mean_focusing_gain_db": _mean_or_none(o.focusing_gain_db for o in outputs),
         "mean_sir_db": _mean_or_none(sir_means),
     })
     _write_json(out / "summary.json", summary)

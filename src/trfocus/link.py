@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelEnsemble
+from .channel import ChannelEnsemble, _is_index
 from .errors import DimensionMismatchError, InvalidTargetError, ParameterError
 
 
@@ -41,7 +41,11 @@ class SpaceTimeField:
 
 @dataclass(frozen=True)
 class TrdmaResult:
-    """per_user_rx[v, u] = field at user u's position from user v's precoder."""
+    """per_user_rx[v, u] = field at user u's position from user v's precoder.
+
+    symbol_period_samples is an integer >= 1 and peak_index an index into
+    the record; anything else raises ParameterError.
+    """
 
     per_user_rx: np.ndarray  # complex, shape (U, U, 2L-1)
     symbol_period_samples: int
@@ -51,6 +55,11 @@ class TrdmaResult:
         arr = np.asarray(self.per_user_rx, dtype=np.complex128)
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError("per_user_rx must have shape (U, U, n_time)")
+        period = self.symbol_period_samples
+        if isinstance(period, bool) or not isinstance(period, (int, np.integer)) or period < 1:
+            raise ParameterError(f"symbol_period_samples must be an integer >= 1: {period!r}")
+        if not _is_index(self.peak_index, arr.shape[2]):
+            raise ParameterError(f"peak_index {self.peak_index!r} is not in range({arr.shape[2]})")
         object.__setattr__(self, "per_user_rx", arr)
 
     @property
@@ -117,8 +126,6 @@ def trdma_link(
         ensemble.check_rx(t)
     if len(set(targets)) != n_users:
         raise InvalidTargetError("TRDMA targets must be distinct grid indices")
-    if symbol_period_samples < 1:
-        raise ParameterError("symbol_period_samples must be >= 1")
     length = ensemble.cir_length
     for bank in banks:
         _check_bank(bank, ensemble)
@@ -128,7 +135,7 @@ def trdma_link(
         table[v] = _bank_through_channel(bank, target_spectra)
     return TrdmaResult(
         per_user_rx=table,
-        symbol_period_samples=int(symbol_period_samples),
+        symbol_period_samples=symbol_period_samples,
         peak_index=length - 1,
     )
 

@@ -50,6 +50,8 @@ def temporal_fwhm(y, sample_rate_hz: float) -> float:
     samples = np.asarray(y, dtype=np.complex128)
     if samples.ndim != 1 or samples.size < 3:
         raise ParameterError("need a 1-D record of at least 3 samples")
+    if not 0.0 < sample_rate_hz < math.inf:  # also refuses NaN
+        raise ParameterError(f"sample_rate_hz must be positive and finite: {sample_rate_hz!r}")
     power = np.abs(samples) ** 2
     return _half_power_width(power, np.arange(samples.size) / sample_rate_hz)
 
@@ -156,35 +158,3 @@ def isi_ratio(trdma: TrdmaResult) -> np.ndarray:
         leak = float(own[offsets].sum()) if offsets else 0.0
         out[u] = _ratio_db(peak, leak)
     return out
-
-
-@dataclass(frozen=True)
-class FocusingReport:
-    """Metrics for one experiment trial, plus the configuration echo."""
-
-    peak_power_db: float
-    temporal_fwhm_s: float | None
-    spatial_fwhm_m: float | None
-    focusing_gain_db: float | None
-    isi_ratio_db: float | None
-    sir_db: list[float] | None
-    carrier_hz: float
-    bandwidth_hz: float
-    n_tx: int
-    seed: int
-    trial: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "peak_power_db": self.peak_power_db,
-            "temporal_fwhm_s": self.temporal_fwhm_s,
-            "spatial_fwhm_m": self.spatial_fwhm_m,
-            "focusing_gain_db": self.focusing_gain_db,
-            "isi_ratio_db": self.isi_ratio_db,
-            "sir_db": self.sir_db,
-            "fc_hz": self.carrier_hz,
-            "b_hz": self.bandwidth_hz,
-            "nt": self.n_tx,
-            "seed": self.seed,
-        }

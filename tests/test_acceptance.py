@@ -60,7 +60,7 @@ def _temporal_means(csi_mode, seed):
             sounding_snr_db=30.0,
         )
         outputs = run_trials(config)
-        mean, n = _mean(o.report.temporal_fwhm_s for o in outputs)
+        mean, n = _mean(o.temporal_fwhm_s for o in outputs)
         assert n == 200
         means[bandwidth] = mean
     return means
@@ -76,7 +76,7 @@ def _spatial_mean(csi_mode, seed):
         sounding_snr_db=30.0,
     )
     outputs = run_trials(config)
-    mean, n = _mean(o.report.spatial_fwhm_m for o in outputs)
+    mean, n = _mean(o.spatial_fwhm_m for o in outputs)
     assert n == 200
     return mean
 
@@ -97,7 +97,7 @@ def _peak_power_means(csi_mode, seed):
         )
         outputs = run_trials(config)
         means[n_tx] = float(
-            np.mean([10 ** (o.report.peak_power_db / 10) for o in outputs])
+            np.mean([10 ** (o.peak_power_db / 10) for o in outputs])
         )
     return means
 
@@ -241,7 +241,7 @@ class TestAcceptance:
         lam = cavity.wavelength_m
         assert 0.02 / lam >= 2.0  # ~2.4 wavelengths apart
         outputs = run_trials(config)
-        all_sir = np.array([o.report.sir_db for o in outputs])  # (trials, 2)
+        all_sir = np.array([o.sir_db for o in outputs])  # (trials, 2)
         mean_sir = float(all_sir.mean())
         wins = float(np.mean(np.all(all_sir > 0.0, axis=1)))
         ok = mean_sir >= 10.0 and wins >= 0.95
@@ -256,8 +256,8 @@ class TestAcceptance:
     def test_criterion_8_subthz_focusing(self, tmp_path):
         config = config_from_preset("subthz", n_trials=200, seed=201)
         outputs = run_trials(config)
-        s_mean, s_n = _mean(o.report.spatial_fwhm_m for o in outputs)
-        t_mean, t_n = _mean(o.report.temporal_fwhm_s for o in outputs)
+        s_mean, s_n = _mean(o.spatial_fwhm_m for o in outputs)
+        t_mean, t_n = _mean(o.temporal_fwhm_s for o in outputs)
         assert s_n == 200 and t_n == 200
         focus_ok = 0.7e-3 <= s_mean <= 1.3e-3 and t_mean < 1e-9
 

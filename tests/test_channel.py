@@ -92,6 +92,18 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             PathSet(np.array([0.0]), np.eye(3), np.array([1.0 + 0j]))
 
+    def test_ensemble_takes_n_tx_from_its_cirs(self):
+        params, grid = small_params(max_delay_s=1e-9), RxGrid(np.array([0.0, 0.01]))
+        ens = ChannelEnsemble(np.ones((3, 2, 8)), params, grid, seed=4)
+        assert type(ens.n_tx) is int and ens.n_tx == 3 and ens.seed == 4
+        # A 2-D array, no antenna or a row count other than the grid's.
+        for shape in ((2, 8), (0, 2, 8), (3, 1, 8), (3, 3, 8)):
+            with pytest.raises(DimensionMismatchError, match="cirs must have shape"):
+                ChannelEnsemble(np.ones(shape), params, grid)
+        # The seed is keyword-only, so a stale n_tx argument cannot become it.
+        with pytest.raises(TypeError):
+            ChannelEnsemble(np.ones((3, 2, 8)), params, grid, 3)
+
     def test_pathset_copies_instead_of_freezing_caller_arrays(self):
         given = (np.array([0.0, 1e-9]), np.tile([0.0, 0.0, 1.0], (2, 1)), np.ones(2, complex))
         paths = PathSet(*given)
@@ -269,7 +281,7 @@ class TestBuildEnsemble:
         rng = np.random.default_rng(length)
         taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         params = small_params(max_delay_s=length / 1e9)
-        ens = ChannelEnsemble(taps, params, RxGrid(0.01 * np.arange(n_rx)), n_tx)
+        ens = ChannelEnsemble(taps, params, RxGrid(0.01 * np.arange(n_rx)))
         nfft = _spectrum_length(length)
         assert ens.spectrum.shape == (n_tx, n_rx, nfft)
         np.testing.assert_array_equal(ens.spectrum, np.fft.fft(ens.cirs, nfft, axis=2))
@@ -662,7 +674,7 @@ def test_save_load_round_trip_is_bit_exact(taps):
     params = small_params(max_delay_s=1e-9)  # fs = 1 GHz, so any L >= 1 fits
     grid = RxGrid(0.001 * np.arange(cirs.shape[1]))
     with warns_if_spectrum_overflows(cirs):
-        ens = ChannelEnsemble(cirs=cirs, params=params, grid=grid, n_tx=cirs.shape[0])
+        ens = ChannelEnsemble(cirs=cirs, params=params, grid=grid)
     with tempfile.TemporaryDirectory() as tmp:
         for mode in ("text", "binary"):
             path = Path(tmp) / mode

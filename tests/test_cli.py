@@ -181,9 +181,7 @@ class TestRunCommand:
         values = dict(config, outdir=str(tmp_path / "sir"))
         scenario = config_from_preset(values.pop("preset"), **values)
         output = run_trials(scenario)[0]
-        output = dataclasses.replace(
-            output, report=dataclasses.replace(output.report, sir_db=[math.inf, math.inf])
-        )
+        output = dataclasses.replace(output, sir_db=[math.inf, math.inf])
         summary = write_outputs(scenario, [output], scenario.outdir)
         assert summary["mean_sir_db"] == "inf"
         trials = json.loads((tmp_path / "sir" / "trials.json").read_text(), parse_constant=reject)

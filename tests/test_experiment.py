@@ -172,8 +172,7 @@ class TestScenarioConfig:
         )
         for energy in (1e-300, 1e300):
             (output,) = run_trials(config_from_preset("subthz", tx_energy=energy, **base))
-            report = output.report
-            assert math.isfinite(report.peak_power_db) and math.isfinite(report.isi_ratio_db)
+            assert math.isfinite(output.peak_power_db) and math.isfinite(output.isi_ratio_db)
         for energy in (np.nextafter(1e-300, 0.0), np.nextafter(1e300, math.inf)):
             with pytest.raises(ConfigError, match="tx_energy"):
                 config_from_preset("subthz", tx_energy=energy, **base)
@@ -257,7 +256,7 @@ class TestSounding:
         config = self.small_config(n_tx=8)
         cirs = build_ensemble(config.cavity, config.grid, 8, 13).cirs.copy()
         cirs[3, 1] = 0.0
-        ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=8)
+        ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid)
         fast = outcome(sound_cirs, ens, 1, 1e-6, snr_db, 7)
         slow = outcome(sound_cirs_per_antenna, ens, 1, 1e-6, snr_db, 7)
         assert not isinstance(slow, type)
@@ -274,7 +273,7 @@ class TestSounding:
             cirs = build_ensemble(config.cavity, config.grid, 2, 14).cirs.copy()
             cirs[1, 1, 5] = bad
             with pytest.raises(ParameterError, match="finite"):
-                ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=2)
+                ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid)
             with pytest.raises(ParameterError, match="finite"):
                 tr_filters(cirs[:, 1])
 
@@ -296,7 +295,7 @@ class TestSounding:
         config = self.small_config()
         cirs = build_ensemble(config.cavity, config.grid, 2, 15).cirs.copy()
         cirs[0, 1] = 0.0
-        ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid, n_tx=2)
+        ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid)
         monkeypatch.setattr(experiment, "gen_chirp", lambda *args: probe_samples)
         assert outcome(sound_cirs, ens, 1, 1e-6, 30.0, 0) is error
         assert outcome(sound_cirs_per_antenna, ens, 1, 1e-6, 30.0, 0) is error
@@ -304,10 +303,10 @@ class TestSounding:
     def test_sounded_trial_still_focuses(self):
         config = self.small_config(csi_mode="sounded", sounding_snr_db=30.0)
         outputs = run_trials(config)
-        report = outputs[0].report
-        assert report.temporal_fwhm_s is not None
+        fwhm_s = outputs[0].temporal_fwhm_s
+        assert fwhm_s is not None
         expected = 0.886 / config.cavity.bandwidth_hz
-        assert report.temporal_fwhm_s == pytest.approx(expected, rel=0.5)
+        assert fwhm_s == pytest.approx(expected, rel=0.5)
 
 
 class TestRunTrials:
@@ -320,12 +319,10 @@ class TestRunTrials:
             seed=9,
         )
         outputs = run_trials(config)
-        assert [o.report.trial for o in outputs] == [0, 1, 2]
+        assert [o.trial for o in outputs] == [0, 1, 2]
         for o in outputs:
-            assert o.report.n_tx == 8
-            assert o.report.seed == 9
-            assert o.report.spatial_fwhm_m is None  # single-point grid
-            assert o.report.peak_power_db == pytest.approx(
+            assert o.spatial_fwhm_m is None  # single-point grid
+            assert o.peak_power_db == pytest.approx(
                 10 * math.log10(8.0), abs=2.0
             )
 
@@ -335,8 +332,8 @@ class TestRunTrials:
         )
         outputs = run_trials(config)
         for o in outputs:
-            assert o.report.sir_db is not None and len(o.report.sir_db) == 2
-            assert o.report.isi_ratio_db is not None
+            assert o.sir_db is not None and len(o.sir_db) == 2
+            assert o.isi_ratio_db is not None
 
     def test_temporal_fwhm_scales_inversely_with_bandwidth(self):
         # Doubling B halves the ensemble-mean temporal width (+-20%).
@@ -351,7 +348,7 @@ class TestRunTrials:
                 seed=50 + i,
             )
             outputs = run_trials(config)
-            means[bandwidth] = np.mean([o.report.temporal_fwhm_s for o in outputs])
+            means[bandwidth] = np.mean([o.temporal_fwhm_s for o in outputs])
         assert means[100e6] / means[200e6] == pytest.approx(2.0, rel=0.2)
         assert means[200e6] / means[400e6] == pytest.approx(2.0, rel=0.2)
 
@@ -374,7 +371,7 @@ class TestRunTrials:
                 seed=60 + i,
             )
             outputs = run_trials(config)
-            means[bandwidth] = np.mean([o.report.spatial_fwhm_m for o in outputs])
+            means[bandwidth] = np.mean([o.spatial_fwhm_m for o in outputs])
         assert means[100e6] == pytest.approx(means[400e6], rel=0.2)
 
         lam = SPEED_OF_LIGHT_M_S / 2.5e9
@@ -398,9 +395,12 @@ class TestRunTrials:
         serial = run_trials(config)
         monkeypatch.setenv("TRFOCUS_THREADS", "4")
         threaded = run_trials(config)
+        metrics = ("trial", "peak_power_db", "temporal_fwhm_s", "spatial_fwhm_m",
+                   "focusing_gain_db", "isi_ratio_db", "sir_db", "peak_time_s")
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.temporal_power, b.temporal_power)
-            assert a.report.to_dict() == b.report.to_dict()
+            np.testing.assert_array_equal(a.spatial_power, b.spatial_power)
+            assert [getattr(a, m) for m in metrics] == [getattr(b, m) for m in metrics]
 
 
 def seeded_trial(t, seed_seq):
@@ -658,8 +658,23 @@ class TestWriteOutputs:
             np.testing.assert_array_equal(exact_floats(x), axis)
             np.testing.assert_array_equal(exact_floats(power_db), db(mean / mean.max()))
 
+        echo = {"fc_hz": 273.6e9, "b_hz": 3e9, "nt": 1, "seed": 3}
+        records = [
+            dict(
+                echo,
+                trial=o.trial,
+                peak_power_db=o.peak_power_db,
+                temporal_fwhm_s=o.temporal_fwhm_s,
+                spatial_fwhm_m=o.spatial_fwhm_m,
+                focusing_gain_db=o.focusing_gain_db,
+                isi_ratio_db=o.isi_ratio_db,
+                sir_db=o.sir_db,
+            )
+            for o in outputs
+        ]
+        assert {key: summary[key] for key in echo} == echo
         for name, obj in (
-            ("trials.json", [o.report.to_dict() for o in outputs]),
+            ("trials.json", records),
             ("summary.json", summary),
         ):
             text = (tmp_path / name).read_text(encoding="utf-8")

@@ -19,7 +19,7 @@ from trfocus.precoding import tr_filters
 def ensemble_from_taps(taps, carrier_hz=10e9, bandwidth_hz=0.5e9, oversample=2):
     """Wrap a handcrafted (n_tx, n_rx, L) tap array as a ChannelEnsemble."""
     taps = np.asarray(taps, dtype=complex)
-    n_tx, n_rx, length = taps.shape
+    n_rx, length = taps.shape[1:]
     fs = oversample * bandwidth_hz
     params = CavityParams(
         carrier_hz=carrier_hz,
@@ -30,7 +30,7 @@ def ensemble_from_taps(taps, carrier_hz=10e9, bandwidth_hz=0.5e9, oversample=2):
         oversample=oversample,
     )
     grid = RxGrid(np.arange(n_rx) * 0.01)
-    return ChannelEnsemble(cirs=taps, params=params, grid=grid, n_tx=n_tx)
+    return ChannelEnsemble(cirs=taps, params=params, grid=grid)
 
 
 def rich_params(n_paths=300, oversample=2, bandwidth_hz=0.5e9, carrier_hz=10e9):

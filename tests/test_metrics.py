@@ -118,6 +118,12 @@ class TestTemporalFwhm:
         with pytest.raises(EdgePeakError):
             temporal_fwhm(y, 1.0)
 
+    @pytest.mark.parametrize("sample_rate_hz", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_sample_rate_raises_parameter_error(self, sample_rate_hz):
+        y = np.sqrt(np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
+        with pytest.raises(ParameterError, match="sample_rate_hz"):
+            temporal_fwhm(y, sample_rate_hz)
+
     def test_scale_invariant(self):
         rng = np.random.default_rng(0)
         y = np.sinc(0.2 * (np.arange(256) - 128.0)) + 0.01 * rng.standard_normal(256)
@@ -248,9 +254,7 @@ class TestSirAndIsi:
         cirs[:, 1, :] = cirs[:, 0, :]  # both users see the same channel
         from trfocus.channel import ChannelEnsemble
 
-        twin = ChannelEnsemble(
-            cirs=cirs, params=ens.params, grid=ens.grid, n_tx=ens.n_tx
-        )
+        twin = ChannelEnsemble(cirs=cirs, params=ens.params, grid=ens.grid)
         banks = [tr_filters(twin.cirs_at(0), 1.0), tr_filters(twin.cirs_at(1), 1.0)]
         res = trdma_link(banks, twin, [0, 1], symbol_period_samples=8)
         vals = sir(res)
@@ -279,6 +283,19 @@ class TestSirAndIsi:
         res = TrdmaResult(rx, 4, length - 1)
         with pytest.raises(ParameterError):
             sir(res)
+
+    @pytest.mark.parametrize(
+        "period, peak, match",
+        [(0, 3, "symbol_period"), (-2, 3, "symbol_period"), (2.0, 3, "symbol_period"),
+         (True, 3, "symbol_period"), (2, -1, "peak_index"), (2, 7, "peak_index"),
+         (2, 3.0, "peak_index")],
+    )
+    def test_bad_period_or_peak_index_raises_parameter_error(self, period, peak, match):
+        # A period below 1 would keep isi_ratio's offset loop from ending,
+        # and a negative peak index would read the record from its end.
+        rx = np.ones((2, 2, 7), dtype=complex)
+        with pytest.raises(ParameterError, match=match):
+            TrdmaResult(rx, period, peak)
 
     def test_isi_ratio_counts_symbol_instants(self):
         length = 16

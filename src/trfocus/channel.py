@@ -204,6 +204,14 @@ def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
         )
 
 
+def _is_seed(value) -> bool:
+    """True for None or an int or numpy integer >= 0, not a bool: the
+    seeds an ensemble file's header may hold."""
+    return value is None or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+    )
+
+
 def _is_index(value, size: int) -> bool:
     """True for an int or numpy integer in range(size), not a bool: numpy
     would read a negative index from the end and a bool as 0 or 1."""
@@ -233,6 +241,10 @@ class ChannelEnsemble:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _is_seed(self.seed):
+            raise ParameterError(f"seed {self.seed!r} must be an integer >= 0 or None")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", int(self.seed))  # JSON-writable
         arr = np.asarray(self.cirs, dtype=np.complex128)
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != len(self.grid):
             raise DimensionMismatchError(
@@ -542,7 +554,7 @@ def load_ensemble(path) -> ChannelEnsemble:
             mode, seed = header["mode"], header["seed"]
             if not all(type(n) is int for n in shape):
                 raise TypeError(f"n_tx, n_rx and cir_length {shape} must be JSON integers")
-            if seed is not None and not (type(seed) is int and seed >= 0):
+            if not _is_seed(seed):
                 raise TypeError(f"seed {seed!r} must be an integer >= 0 or null")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"{path}: malformed header ({exc!r})") from exc

@@ -41,7 +41,7 @@ from .errors import (
     IllConditionedError,
     ParameterError,
 )
-from .link import focus_field, trdma_link
+from .link import check_trdma_size, focus_field, trdma_link
 from .metrics import focusing_gain, isi_ratio, sir, spatial_profile, temporal_fwhm
 from .precoding import tr_filters
 from .signalops import gen_chirp
@@ -248,6 +248,10 @@ class ScenarioConfig:
         if self.users_m is not None:
             if len(self.users_m) < 2:
                 raise ConfigError("TRDMA needs at least two user positions")
+            try:
+                check_trdma_size(len(self.users_m), self.cavity.cir_length)
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from None
             idx = self.user_indices
             if len(set(idx)) != len(idx):
                 raise ConfigError("user positions must be distinct grid points")

@@ -1,7 +1,9 @@
 """Propagation of precoded transmissions through a channel ensemble.
 
 Produces the space-time received field of a TR bank over the whole grid
-and the U x U cross-received table for multi-user (TRDMA) operation.
+and, for multi-user (TRDMA) operation, what SIR and ISI read of the U
+users' cross reception: the U x U samples at the focusing instant and
+each user's own received stream, O(U (U + L)) values in all.
 """
 
 from __future__ import annotations
@@ -11,8 +13,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelEnsemble, _is_index
+from .channel import ENSEMBLE_BUDGET_BYTES, ChannelEnsemble, _is_index, _sig3
 from .errors import DimensionMismatchError, InvalidTargetError, ParameterError
+
+
+def _frozen(values) -> np.ndarray:
+    """values as a read-only complex array; a writable one is copied,
+    never frozen in place."""
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -26,12 +38,9 @@ class SpaceTimeField:
     oversample: int
 
     def __post_init__(self):
-        arr = np.asarray(self.field, dtype=np.complex128)
+        arr = _frozen(self.field)
         if arr.ndim != 2 or arr.shape[0] != np.asarray(self.positions_m).size:
             raise DimensionMismatchError("field must have shape (n_rx, n_time)")
-        if arr.flags.writeable:  # a writable array is copied, never frozen
-            arr = arr.copy()
-            arr.setflags(write=False)
         object.__setattr__(self, "field", arr)
 
     @property
@@ -39,32 +48,58 @@ class SpaceTimeField:
         return self.field.shape[0]
 
 
+def check_trdma_size(n_users: int, cir_length: int) -> None:
+    """Raise ParameterError when the two arrays of a U-user TrdmaResult,
+    16 U (U + 2L - 1) bytes, would exceed ENSEMBLE_BUDGET_BYTES."""
+    n_bytes = 16 * n_users * (n_users + 2 * cir_length - 1)
+    if n_bytes > ENSEMBLE_BUDGET_BYTES:
+        raise ParameterError(
+            f"a TRDMA link of {n_users} users and {cir_length}-tap CIRs needs "
+            f"{_sig3(n_bytes >> 20)} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
+        )
+
+
 @dataclass(frozen=True)
 class TrdmaResult:
-    """per_user_rx[v, u] = field at user u's position from user v's precoder.
+    """What U TRDMA users receive, as far as SIR and ISI read it.
 
-    symbol_period_samples is an integer >= 1 and peak_index an index into
-    the record; anything else raises ParameterError.
+    at_peak[v, u] is the sample at the focusing instant at user u's
+    position from user v's precoder, shape (U, U); own_rx[u] is user u's
+    whole record of its own stream, shape (U, 2L-1), so own_rx[u,
+    peak_index] is at_peak[u, u].  Together they hold 16 U (U + 2L - 1)
+    bytes; the off-peak cross samples, 16 U^2 (2L - 1) bytes, are never
+    kept.  Both arrays are read-only; writable inputs are copied.
+
+    A non-square at_peak, or an own_rx without one row per user, raises
+    DimensionMismatchError.  symbol_period_samples is an integer >= 1 and
+    peak_index a sample index into an own_rx row; anything else raises
+    ParameterError.
     """
 
-    per_user_rx: np.ndarray  # complex, shape (U, U, 2L-1)
+    at_peak: np.ndarray  # complex, shape (U, U)
+    own_rx: np.ndarray  # complex, shape (U, 2L-1)
     symbol_period_samples: int
     peak_index: int
 
     def __post_init__(self):
-        arr = np.asarray(self.per_user_rx, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatchError("per_user_rx must have shape (U, U, n_time)")
+        at_peak, own_rx = _frozen(self.at_peak), _frozen(self.own_rx)
+        if at_peak.ndim != 2 or at_peak.shape[0] != at_peak.shape[1]:
+            raise DimensionMismatchError(f"at_peak must have shape (U, U), got {at_peak.shape}")
+        if own_rx.ndim != 2 or own_rx.shape[0] != at_peak.shape[0]:
+            raise DimensionMismatchError(
+                f"own_rx must have shape ({at_peak.shape[0]}, n_time), got {own_rx.shape}"
+            )
         period = self.symbol_period_samples
         if isinstance(period, bool) or not isinstance(period, (int, np.integer)) or period < 1:
             raise ParameterError(f"symbol_period_samples must be an integer >= 1: {period!r}")
-        if not _is_index(self.peak_index, arr.shape[2]):
-            raise ParameterError(f"peak_index {self.peak_index!r} is not in range({arr.shape[2]})")
-        object.__setattr__(self, "per_user_rx", arr)
+        if not _is_index(self.peak_index, own_rx.shape[1]):
+            raise ParameterError(f"peak_index {self.peak_index!r} is not in range({own_rx.shape[1]})")
+        object.__setattr__(self, "at_peak", at_peak)
+        object.__setattr__(self, "own_rx", own_rx)
 
     @property
     def n_users(self) -> int:
-        return self.per_user_rx.shape[0]
+        return self.at_peak.shape[0]
 
 
 def _check_bank(bank, ensemble: ChannelEnsemble) -> None:
@@ -113,11 +148,13 @@ def trdma_link(
     targets: Sequence[int],
     symbol_period_samples: int,
 ) -> TrdmaResult:
-    """Cross-received table for U users precoded towards their own targets.
+    """Reception of U users precoded towards their own targets.
 
-    Each user transmits a unit impulse shaped by its own TR bank; entry
-    [v, u] is the resulting field at user u's grid position.  Downstream
-    SIR/ISI metrics consume this table.
+    Each user transmits a unit impulse shaped by its own TR bank.  Bank
+    v's field at the U targets is one transient (U, 2L-1) block, of which
+    the result keeps the focusing-instant column and user v's own row.
+    A result over ENSEMBLE_BUDGET_BYTES raises ParameterError before
+    anything is propagated.
     """
     n_users = len(banks)
     if n_users != len(targets):
@@ -127,15 +164,21 @@ def trdma_link(
     if len(set(targets)) != n_users:
         raise InvalidTargetError("TRDMA targets must be distinct grid indices")
     length = ensemble.cir_length
+    check_trdma_size(n_users, length)
     for bank in banks:
         _check_bank(bank, ensemble)
     target_spectra = ensemble.spectrum.transpose(2, 0, 1)[:, :, list(targets)]  # (nfft, n_tx, U)
-    table = np.empty((n_users, n_users, 2 * length - 1), dtype=np.complex128)
+    at_peak = np.empty((n_users, n_users), dtype=np.complex128)
+    own_rx = np.empty((n_users, 2 * length - 1), dtype=np.complex128)
     for v, bank in enumerate(banks):
-        table[v] = _bank_through_channel(bank, target_spectra)
+        rows = _bank_through_channel(bank, target_spectra)  # rows[u]: at user u
+        at_peak[v] = rows[:, length - 1]
+        own_rx[v] = rows[v]
+    at_peak.setflags(write=False)  # TrdmaResult keeps both without a copy
+    own_rx.setflags(write=False)
     return TrdmaResult(
-        per_user_rx=table,
+        at_peak=at_peak,
+        own_rx=own_rx,
         symbol_period_samples=symbol_period_samples,
         peak_index=length - 1,
     )
-

@@ -116,14 +116,14 @@ def _ratio_db(power: float, other: float) -> float:
 def sir(trdma: TrdmaResult) -> np.ndarray:
     """Per-user signal-to-interference ratio in dB at the focusing instant.
 
-    SIR_u = |rx[u,u,L-1]|^2 / sum_{v != u} |rx[v,u,L-1]|^2.  Zero
+    SIR_u = |at_peak[u,u]|^2 / sum_{v != u} |at_peak[v,u]|^2.  Zero
     interference yields the +inf sentinel, and a zero signal under nonzero
     interference -inf.
     """
     n_users = trdma.n_users
     if n_users < 2:
         raise ParameterError("SIR needs at least two users")
-    at_peak = np.abs(trdma.per_user_rx[:, :, trdma.peak_index]) ** 2  # (v, u)
+    at_peak = np.abs(trdma.at_peak) ** 2  # (v, u)
     out = np.empty(n_users)
     for u in range(n_users):
         signal = at_peak[u, u]
@@ -142,7 +142,7 @@ def isi_ratio(trdma: TrdmaResult) -> np.ndarray:
     n_users = trdma.n_users
     peak_n = trdma.peak_index
     period = trdma.symbol_period_samples
-    n_time = trdma.per_user_rx.shape[2]
+    n_time = trdma.own_rx.shape[1]
     offsets = []
     m = 1
     while peak_n + m * period < n_time or peak_n - m * period >= 0:
@@ -153,7 +153,7 @@ def isi_ratio(trdma: TrdmaResult) -> np.ndarray:
         m += 1
     out = np.empty(n_users)
     for u in range(n_users):
-        own = np.abs(trdma.per_user_rx[u, u]) ** 2
+        own = np.abs(trdma.own_rx[u]) ** 2
         peak = float(own[peak_n])
         leak = float(own[offsets].sum()) if offsets else 0.0
         out[u] = _ratio_db(peak, leak)

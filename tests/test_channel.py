@@ -104,6 +104,18 @@ class TestValidation:
         with pytest.raises(TypeError):
             ChannelEnsemble(np.ones((3, 2, 8)), params, grid, 3)
 
+    def test_ensemble_refuses_a_seed_its_file_cannot_hold(self, tmp_path):
+        # save_ensemble writes the seed into the header, so the ensemble
+        # takes only the seeds load_ensemble reads back.
+        params, grid = small_params(max_delay_s=1e-9), RxGrid(np.array([0.0, 0.01]))
+        for seed in (2.0, -1, True, np.float64(2.0), np.int64(-1), "3"):
+            with pytest.raises(ParameterError, match="seed"):
+                ChannelEnsemble(np.ones((1, 2, 8)), params, grid, seed=seed)
+        ens = ChannelEnsemble(np.ones((1, 2, 8)), params, grid, seed=np.int64(7))
+        assert type(ens.seed) is int and ens.seed == 7
+        save_ensemble(ens, tmp_path / "e.bin", mode="binary")
+        assert load_ensemble(tmp_path / "e.bin").seed == 7
+
     def test_pathset_copies_instead_of_freezing_caller_arrays(self):
         given = (np.array([0.0, 1e-9]), np.tile([0.0, 0.0, 1.0], (2, 1)), np.ones(2, complex))
         paths = PathSet(*given)

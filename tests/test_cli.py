@@ -327,6 +327,29 @@ class TestRunCommand:
             assert "Traceback" not in proc.stderr, args
             assert not (tmp_path / "bad").exists()
 
+    def test_many_user_link_runs_in_a_small_address_space(self, tmp_path):
+        # 241 subthz users on a 241-point grid.  A table of every user
+        # pair's 639-sample record would take 566 MiB on its own, more than
+        # the 512 MiB address-space limit of the child; the link keeps
+        # 16 * 241 * (241 + 639) bytes, 3.2 MiB, and the run takes about
+        # a second.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        step = 2.5e-5
+        users = [f"{-0.003 + i * step:.6f}" for i in range(241)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "trfocus", "run", "--preset", "subthz",
+             "--grid-start", "-0.003", "--grid-stop", "0.003", "--grid-step", str(step),
+             "--trials", "1", "--seed", "1", "--users", *users, "--outdir", str(tmp_path)],
+            capture_output=True, text=True,
+            env=child_env(OPENBLAS_NUM_THREADS="1", TRFOCUS_THREADS="1"),
+            preexec_fn=limit_memory, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert math.isfinite(summary["mean_sir_db"])
+
     def test_non_finite_values_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"preset": "subthz", "tx_energy": NaN}')

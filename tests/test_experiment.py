@@ -92,6 +92,22 @@ class TestScenarioConfig:
                 "sub6ghz", users_m=(0.10, 0.10), n_trials=1, seed=0
             )
 
+    def test_trdma_working_set_is_bounded(self):
+        # A subthz link of U users keeps 16 U (U + 639) bytes: 7 878 users
+        # fit the 1 GiB budget and 7 879 do not.  Their 7 879-point grid
+        # is a 1-Tx ensemble of about 115 MiB, inside its own budget.
+        step = 1e-6
+        grid = {"start_m": 0.0, "stop_m": 7878 * step, "step_m": step}
+        users = tuple(np.round(np.arange(7879) * step, 12))
+        fits = config_from_preset(
+            "subthz", grid=grid, target_m=0.0, users_m=users[:-1], n_trials=1, seed=0
+        )
+        assert fits.user_indices == list(range(7878))
+        with pytest.raises(ConfigError, match="7879 users .* budget"):
+            config_from_preset(
+                "subthz", grid=grid, target_m=0.0, users_m=users, n_trials=1, seed=0
+            )
+
     def test_trials_must_be_positive(self):
         with pytest.raises(ConfigError):
             config_from_preset("sub6ghz", n_trials=0, seed=0)

@@ -1,6 +1,7 @@
 """Tests for field propagation and TRDMA superposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import convolved_sum
 from trfocus.channel import CavityParams, ChannelEnsemble, RxGrid, build_ensemble
-from trfocus.errors import DimensionMismatchError, InvalidTargetError
-from trfocus.experiment import sound_cirs
-from trfocus.link import SpaceTimeField, focus_field, trdma_link
+from trfocus.errors import DimensionMismatchError, InvalidTargetError, ParameterError
+from trfocus.experiment import config_from_preset, sound_cirs
+from trfocus.link import SpaceTimeField, check_trdma_size, focus_field, trdma_link
 from trfocus.precoding import tr_filters
 
 
@@ -142,7 +143,8 @@ class TestTrdmaLink:
         bank = tr_filters(ens.cirs_at(1), 1.0)
         result = trdma_link([bank], ens, [1], symbol_period_samples=8)
         fld = focus_field(bank, ens)
-        np.testing.assert_allclose(result.per_user_rx[0, 0], fld.field[1], rtol=1e-12)
+        np.testing.assert_allclose(result.own_rx[0], fld.field[1], rtol=1e-12)
+        assert result.at_peak[0, 0] == result.own_rx[0, result.peak_index]
 
     def test_matches_time_domain_convolution(self):
         params = rich_params(n_paths=200)
@@ -151,11 +153,35 @@ class TestTrdmaLink:
         targets = [3, 0, 2]
         banks = [tr_filters(ens.cirs_at(t), 1.0) for t in targets]
         result = trdma_link(banks, ens, targets, symbol_period_samples=8)
+        peak = result.peak_index
         for v, bank in enumerate(banks):
             for u, t in enumerate(targets):
                 ref = convolved_sum(bank, ens.cirs[:, t])
-                err = np.linalg.norm(result.per_user_rx[v, u] - ref) / np.linalg.norm(ref)
-                assert err <= 1e-12
+                assert abs(result.at_peak[v, u] - ref[peak]) <= 1e-12 * np.linalg.norm(ref)
+                if u == v:
+                    err = np.linalg.norm(result.own_rx[v] - ref) / np.linalg.norm(ref)
+                    assert err <= 1e-12
+
+    def test_result_keeps_the_peak_column_and_own_rows_read_only(self):
+        params = rich_params(n_paths=100)
+        ens = build_ensemble(params, RxGrid(np.array([0.0, 0.01, 0.02])), 2, 6)
+        banks = [tr_filters(ens.cirs_at(t), 1.0) for t in (2, 0)]
+        result = trdma_link(banks, ens, [2, 0], symbol_period_samples=8)
+        n_time = 2 * ens.cir_length - 1
+        assert result.at_peak.shape == (2, 2) and result.own_rx.shape == (2, n_time)
+        assert not result.at_peak.flags.writeable and not result.own_rx.flags.writeable
+        diagonal = result.own_rx[[0, 1], [result.peak_index] * 2]
+        np.testing.assert_array_equal(np.diag(result.at_peak), diagonal)
+
+    def test_oversized_link_raises_before_propagating(self):
+        # 8 192 one-tap users need 16 * 8192 * 8193 bytes, just over the
+        # 1 GiB budget, and are refused before a bank is propagated; 8 191
+        # fit.  The ensemble itself is 256 KiB.
+        ens = ensemble_from_taps(np.ones((1, 8192, 1)))
+        banks = [np.ones((1, 1), dtype=complex)] * 8192
+        with pytest.raises(ParameterError, match="8192 users .* budget"):
+            trdma_link(banks, ens, range(8192), symbol_period_samples=1)
+        check_trdma_size(8191, 1)
 
     def test_duplicate_targets_rejected(self):
         params = rich_params(n_paths=50)
@@ -187,7 +213,7 @@ class TestTrdmaLink:
             ens = build_ensemble(params, grid, 2, rng)
             banks = [tr_filters(ens.cirs_at(0), 1.0), tr_filters(ens.cirs_at(1), 1.0)]
             res = trdma_link(banks, ens, [0, 1], symbol_period_samples=16)
-            at_peak = np.abs(res.per_user_rx[:, :, res.peak_index]) ** 2
+            at_peak = np.abs(res.at_peak) ** 2
             if at_peak[0, 0] > at_peak[1, 0] and at_peak[1, 1] > at_peak[0, 1]:
                 wins += 1
         assert wins >= 0.95 * n_real
@@ -243,7 +269,7 @@ def propagation_cases(draw):
 @given(case=propagation_cases())
 def test_propagation_matches_time_domain_convolution_property(case):
     # Each bin's BLAS product sums the antennas in its own order; the field
-    # and the TRDMA table stay within 1e-12 of the time-domain sums.
+    # and the TRDMA samples stay within 1e-12 of the time-domain sums.
     taps, targets, sounded = case
     assume(all(np.sum(np.abs(taps[:, t]) ** 2) > 1e-200 for t in targets))
     ens = ensemble_from_taps(taps)
@@ -260,8 +286,9 @@ def test_propagation_matches_time_domain_convolution_property(case):
         fld = focus_field(bank, ens).field
         assert np.linalg.norm(fld - ref) <= 1e-12 * np.linalg.norm(ref)
         table_ref = ref[targets]
-        err = np.linalg.norm(result.per_user_rx[v] - table_ref)
-        assert err <= 1e-12 * np.linalg.norm(table_ref)
+        bound = 1e-12 * np.linalg.norm(table_ref)
+        assert np.linalg.norm(result.at_peak[v] - table_ref[:, ens.cir_length - 1]) <= bound
+        assert np.linalg.norm(result.own_rx[v] - table_ref[v]) <= bound
 
 
 def test_single_antenna_propagation_is_the_unfused_product():
@@ -279,5 +306,29 @@ def test_single_antenna_propagation_is_the_unfused_product():
     expected = np.fft.ifft(product, axis=1)[:, : 2 * ens.cir_length - 1]
     np.testing.assert_array_equal(focus_field(bank, ens).field, expected)
     banks = [bank, tr_filters(ens.cirs_at(2), 1.0)]
-    table = trdma_link(banks, ens, [1, 2], symbol_period_samples=8).per_user_rx
-    np.testing.assert_array_equal(table[0], expected[[1, 2]])
+    result = trdma_link(banks, ens, [1, 2], symbol_period_samples=8)
+    np.testing.assert_array_equal(result.at_peak[0], expected[[1, 2], ens.cir_length - 1])
+    np.testing.assert_array_equal(result.own_rx[0], expected[1])
+
+
+def test_sub6ghz_link_peak_memory_is_below_one_cross_table():
+    # 31 sub6ghz users (8 antennas, L = 320): the (U, U, 2L-1) cross table
+    # of every user pair takes 9.8 MB on its own.  The link keeps
+    # 16 * 31 * (31 + 639) bytes, 0.32 MiB; with the gathered target
+    # spectra and one bank's transient block it peaks near 3.7 MiB.
+    cfg = config_from_preset("sub6ghz")
+    shape = (cfg.n_tx, len(cfg.grid), cfg.cavity.cir_length)
+    rng = np.random.default_rng(5)
+    ens = ChannelEnsemble(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg.cavity, cfg.grid
+    )
+    targets = list(range(len(cfg.grid)))
+    banks = [tr_filters(ens.cirs_at(t), 1.0) for t in targets]
+    tracemalloc.start()
+    try:
+        result = trdma_link(banks, ens, targets, symbol_period_samples=cfg.symbol_period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.at_peak.nbytes + result.own_rx.nbytes == 16 * 31 * (31 + 639)
+    assert peak < 5 << 20, peak

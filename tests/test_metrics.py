@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from trfocus.channel import RxGrid, build_ensemble
 from trfocus.errors import (
     DegenerateBackgroundError,
+    DimensionMismatchError,
     EdgePeakError,
     ParameterError,
 )
@@ -229,6 +230,14 @@ class TestFocusingGain:
         assert gains[8] - gains[1] == pytest.approx(10 * math.log10(8), abs=1.5)
 
 
+def trdma_from_table(rx, period, peak):
+    """The TrdmaResult of a full (U, U, n_time) cross table rx, where
+    rx[v, u] is user u's record of user v's stream: its column at the
+    peak and its diagonal rows."""
+    i = np.arange(rx.shape[0])
+    return TrdmaResult(rx[:, :, peak], rx[i, i], period, peak)
+
+
 class TestSirAndIsi:
     def orthogonal_trdma(self):
         # Two single-tap channels with disjoint support: no interference.
@@ -237,11 +246,7 @@ class TestSirAndIsi:
         rx[0, 0, length - 1] = 1.0
         rx[1, 1, length - 1] = 1.0
         rx[0, 1, 3] = 0.5  # off the focusing instant
-        return TrdmaResult(
-            per_user_rx=rx,
-            symbol_period_samples=8,
-            peak_index=length - 1,
-        )
+        return trdma_from_table(rx, 8, length - 1)
 
     def test_orthogonal_channels_have_infinite_sir(self):
         vals = sir(self.orthogonal_trdma())
@@ -264,23 +269,23 @@ class TestSirAndIsi:
         # Each user's own stream is 0 at the peak, the other user's is not.
         rx = np.zeros((2, 2, 7), dtype=complex)
         rx[1, 0, 3] = rx[0, 1, 3] = 1.0
-        vals = sir(TrdmaResult(rx, 2, 3))
+        vals = sir(trdma_from_table(rx, 2, 3))
         assert np.all(vals == -np.inf)
         rx[0, 0, 3] = 1e-200  # the ratio 1e-400 underflows to 0
         rx[1, 0, 3] = 1e10
-        assert sir(TrdmaResult(rx, 2, 3))[0] == -np.inf
+        assert sir(trdma_from_table(rx, 2, 3))[0] == -np.inf
 
     def test_zero_peak_gives_minus_inf_isi_ratio(self):
         rx = np.zeros((2, 2, 7), dtype=complex)
         rx[0, 0, 1] = 1.0  # leak one symbol period before an empty peak
         rx[1, 1, 3] = 1.0
-        vals = isi_ratio(TrdmaResult(rx, 2, 3))
+        vals = isi_ratio(trdma_from_table(rx, 2, 3))
         assert vals[0] == -np.inf and vals[1] == np.inf
 
     def test_needs_two_users(self):
         length = 8
         rx = np.ones((1, 1, 2 * length - 1), dtype=complex)
-        res = TrdmaResult(rx, 4, length - 1)
+        res = trdma_from_table(rx, 4, length - 1)
         with pytest.raises(ParameterError):
             sir(res)
 
@@ -293,9 +298,25 @@ class TestSirAndIsi:
     def test_bad_period_or_peak_index_raises_parameter_error(self, period, peak, match):
         # A period below 1 would keep isi_ratio's offset loop from ending,
         # and a negative peak index would read the record from its end.
-        rx = np.ones((2, 2, 7), dtype=complex)
         with pytest.raises(ParameterError, match=match):
-            TrdmaResult(rx, period, peak)
+            TrdmaResult(np.ones((2, 2)), np.ones((2, 7)), period, peak)
+
+    @pytest.mark.parametrize(
+        "at_peak_shape, own_rx_shape",
+        [((2, 3), (2, 7)), ((2,), (2, 7)), ((2, 2, 1), (2, 7)), ((2, 2), (3, 7)),
+         ((2, 2), (7,)), ((2, 2), (2, 7, 1))],
+    )
+    def test_mismatched_shapes_raise_dimension_mismatch(self, at_peak_shape, own_rx_shape):
+        with pytest.raises(DimensionMismatchError):
+            TrdmaResult(np.ones(at_peak_shape), np.ones(own_rx_shape), 2, 3)
+
+    def test_arrays_are_read_only_copies(self):
+        at_peak, own_rx = np.ones((2, 2), complex), np.ones((2, 7), complex)
+        res = TrdmaResult(at_peak, own_rx, 2, 3)
+        assert not res.at_peak.flags.writeable and not res.own_rx.flags.writeable
+        assert at_peak.flags.writeable and own_rx.flags.writeable
+        at_peak[:] = own_rx[:] = 0.0
+        assert res.at_peak[0, 0] == res.own_rx[0, 3] == 1.0
 
     def test_isi_ratio_counts_symbol_instants(self):
         length = 16
@@ -304,7 +325,7 @@ class TestSirAndIsi:
         rx[0, 0, length - 1 + 8] = 1.0  # one symbol period later
         rx[0, 0, length - 1 - 8] = 1.0  # one earlier
         rx[1, 1, length - 1] = 1.0
-        res = TrdmaResult(rx, 8, length - 1)
+        res = trdma_from_table(rx, 8, length - 1)
         vals = isi_ratio(res)
         assert vals[0] == pytest.approx(10 * math.log10(4.0 / 2.0))
         assert np.isinf(vals[1])

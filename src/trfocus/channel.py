@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import KW_ONLY, asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,36 +54,14 @@ def _unit3(v) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PathSet:
-    """A channel realization: P paths stored as parallel arrays."""
+class PathSet(NamedTuple):
+    """A channel realization of P paths, as draw_paths returns it: delays
+    in [0, max_delay_s] of shape (P,), unit-norm arrival directions of
+    shape (P, 3) and complex amplitudes of shape (P,)."""
 
     delays_s: np.ndarray
     directions: np.ndarray
     amplitudes: np.ndarray
-
-    def __post_init__(self):
-        # np.array copies, so freezing these leaves the caller's arrays writable.
-        delays = np.array(self.delays_s, dtype=np.float64)
-        dirs = np.array(self.directions, dtype=np.float64)
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if delays.ndim != 1 or delays.size == 0:
-            raise ParameterError("a path set needs at least one path")
-        if dirs.shape != (delays.size, 3):
-            raise DimensionMismatchError("directions must have shape (P, 3)")
-        if amps.shape != delays.shape:
-            raise DimensionMismatchError("amplitudes must have shape (P,)")
-        if np.any(delays < 0):
-            raise ParameterError("path delays must be nonnegative")
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ParameterError("path directions must be unit-norm")
-        for name, val in (("delays_s", delays), ("directions", dirs), ("amplitudes", amps)):
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
-
-    def __len__(self) -> int:
-        return self.delays_s.size
 
 
 @dataclass(frozen=True)
@@ -180,9 +159,24 @@ def _spectrum_length(cir_length: int) -> int:
 def _sig3(n: int) -> str:
     """n to three significant digits.  Decimal formats an int past float
     range too, such as 10**400 antennas or the size of their grid."""
-    from decimal import Decimal  # about 1 ms of import, paid on error paths only
+    from decimal import Decimal  # 1-3 ms and 0.3 MiB of import, paid on error paths only
 
     return f"{Decimal(n):.3g}"
+
+
+def check_budget(n_bytes: int, what: Callable[[], str]) -> None:
+    """Raise ParameterError when n_bytes exceeds ENSEMBLE_BUDGET_BYTES.
+
+    what() names the allocation and ends in its verb, as in "sounding 8
+    antennas with a 1 s chirp needs"; the message goes on with the size in
+    MiB and the budget.  It is called on refusal only, so a size that fits
+    formats nothing.
+    """
+    if n_bytes > ENSEMBLE_BUDGET_BYTES:
+        budget_mib = ENSEMBLE_BUDGET_BYTES >> 20
+        raise ParameterError(
+            f"{what()} {_sig3(n_bytes >> 20)} MiB, over the {budget_mib} MiB budget"
+        )
 
 
 def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
@@ -191,17 +185,15 @@ def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
     if min(n_tx, n_rx, cir_length) < 1:
         dims = ", ".join(map(_sig3, (n_tx, n_rx, cir_length)))
         raise ParameterError(f"n_tx, n_rx and cir_length must be >= 1: ({dims})")
+
+    def what() -> str:
+        dims = f"{_sig3(n_tx)} x {_sig3(n_rx)} CIRs of {_sig3(cir_length)} taps"
+        return f"an ensemble of {dims} needs"
+
     # The spectrum has at least 2L - 1 bins; that bound rejects a huge L
     # before _spectrum_length enumerates the smooth numbers below it.
-    n_bytes = 16 * n_tx * n_rx * (3 * cir_length - 1)
-    if n_bytes <= ENSEMBLE_BUDGET_BYTES:
-        n_bytes = 16 * n_tx * n_rx * (cir_length + _spectrum_length(cir_length))
-    if n_bytes > ENSEMBLE_BUDGET_BYTES:
-        raise ParameterError(
-            f"an ensemble of {_sig3(n_tx)} x {_sig3(n_rx)} CIRs of {_sig3(cir_length)} taps "
-            f"needs at least {_sig3(n_bytes >> 20)} MiB, "
-            f"over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
-        )
+    check_budget(16 * n_tx * n_rx * (3 * cir_length - 1), lambda: f"{what()} at least")
+    check_budget(16 * n_tx * n_rx * (cir_length + _spectrum_length(cir_length)), what)
 
 
 def _is_seed(value) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .errors import ConfigError, TrfocusError
@@ -29,8 +30,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Each dest is the config-file key the flag overrides.
     run_p = sub.add_parser("run", help="run a seeded Monte-Carlo campaign")
+    # Python 3.11's argparse takes only -1 and -.5 style tokens for negative
+    # numbers, so "--users -9e-05" would read -9e-05 as an unknown option.
+    # No run flag looks like a number, so every float literal is a value.
+    run_p._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+    )
+    # Each dest is the config-file key the flag overrides.
     run_p.add_argument("--config", help="JSON config file; flags override its values")
     run_p.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
     run_p.add_argument("--bandwidth", dest="bandwidth_hz", type=float, help="bandwidth B in Hz")

@@ -28,9 +28,9 @@ from .channel import (
     CavityParams,
     ChannelEnsemble,
     RxGrid,
-    _sig3,
     _spectrum_length,
     build_ensemble,
+    check_budget,
     check_ensemble_size,
 )
 from .errors import (
@@ -155,12 +155,10 @@ def _check_sounding_size(
     if not (chirp_duration_s > 0 and math.isfinite(chirp_duration_s * sample_rate_hz)):
         raise ParameterError(f"chirp_duration_s must be positive and finite: {chirp_duration_s}")
     n_record = round(chirp_duration_s * sample_rate_hz) + cir_length - 1
-    n_bytes = 64 * (n_tx + 1) * _deconv_grid(max(n_record, 1))
-    if n_bytes > ENSEMBLE_BUDGET_BYTES:
-        raise ParameterError(
-            f"sounding {n_tx} antennas with a {chirp_duration_s:g} s chirp needs "
-            f"{_sig3(n_bytes >> 20)} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
-        )
+    check_budget(
+        64 * (n_tx + 1) * _deconv_grid(max(n_record, 1)),
+        lambda: f"sounding {n_tx} antennas with a {chirp_duration_s:g} s chirp needs",
+    )
 
 
 def thread_count() -> int:

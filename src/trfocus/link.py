@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ENSEMBLE_BUDGET_BYTES, ChannelEnsemble, _is_index, _sig3
+from .channel import ChannelEnsemble, _is_index, check_budget
 from .errors import DimensionMismatchError, InvalidTargetError, ParameterError
 
 
@@ -51,12 +51,10 @@ class SpaceTimeField:
 def check_trdma_size(n_users: int, cir_length: int) -> None:
     """Raise ParameterError when the two arrays of a U-user TrdmaResult,
     16 U (U + 2L - 1) bytes, would exceed ENSEMBLE_BUDGET_BYTES."""
-    n_bytes = 16 * n_users * (n_users + 2 * cir_length - 1)
-    if n_bytes > ENSEMBLE_BUDGET_BYTES:
-        raise ParameterError(
-            f"a TRDMA link of {n_users} users and {cir_length}-tap CIRs needs "
-            f"{_sig3(n_bytes >> 20)} MiB, over the {ENSEMBLE_BUDGET_BYTES >> 20} MiB budget"
-        )
+    check_budget(
+        16 * n_users * (n_users + 2 * cir_length - 1),
+        lambda: f"a TRDMA link of {n_users} users and {cir_length}-tap CIRs needs",
+    )
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def naive_taps(paths, position_m, params, axis, length):
     """Direct double-loop evaluation of the plane-wave synthesis formula."""
     fs = params.sample_rate_hz
     h = np.zeros(length, dtype=complex)
-    for p in range(len(paths)):
+    for p in range(len(paths.delays_s)):
         tau = paths.delays_s[p] + position_m * float(paths.directions[p] @ axis) / C
         rot = paths.amplitudes[p] * np.exp(-2j * np.pi * params.carrier_hz * tau)
         for n in range(length):

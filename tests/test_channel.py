@@ -88,10 +88,6 @@ class TestValidation:
         grid = RxGrid(np.array([0.0, 0.01]))
         assert abs(grid.boresight() @ grid.axis) < 1e-12
 
-    def test_pathset_shapes(self):
-        with pytest.raises(DimensionMismatchError):
-            PathSet(np.array([0.0]), np.eye(3), np.array([1.0 + 0j]))
-
     def test_ensemble_takes_n_tx_from_its_cirs(self):
         params, grid = small_params(max_delay_s=1e-9), RxGrid(np.array([0.0, 0.01]))
         ens = ChannelEnsemble(np.ones((3, 2, 8)), params, grid, seed=4)
@@ -116,15 +112,18 @@ class TestValidation:
         save_ensemble(ens, tmp_path / "e.bin", mode="binary")
         assert load_ensemble(tmp_path / "e.bin").seed == 7
 
-    def test_pathset_copies_instead_of_freezing_caller_arrays(self):
-        given = (np.array([0.0, 1e-9]), np.tile([0.0, 0.0, 1.0], (2, 1)), np.ones(2, complex))
-        paths = PathSet(*given)
-        stored = (paths.delays_s, paths.directions, paths.amplitudes)
-        for mine, its in zip(given, stored):
-            assert mine.flags.writeable and not its.flags.writeable
-
 
 class TestDrawPaths:
+    def test_shapes_dtypes_unit_directions_and_delay_range(self):
+        params = small_params(n_paths=700, aperture_half_angle_rad=math.radians(35.0))
+        paths = draw_paths(params, np.random.default_rng(8), np.array([0.0, 0.6, 0.8]))
+        for arr, shape, dtype in zip(paths, [(700,), (700, 3), (700,)],
+                                     [np.float64, np.float64, np.complex128]):
+            assert arr.shape == shape and arr.dtype == dtype
+        norms = np.linalg.norm(paths.directions, axis=1)
+        assert np.abs(norms - 1.0).max() <= 1e-12
+        assert paths.delays_s.min() >= 0.0 and paths.delays_s.max() <= params.max_delay_s
+
     def test_seeded_reproducibility(self):
         params = small_params(n_paths=1000)
         a = draw_paths(params, np.random.default_rng(7))

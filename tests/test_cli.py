@@ -163,6 +163,25 @@ class TestRunCommand:
         trials = json.loads((out / "trials.json").read_text())
         assert all(len(t["sir_db"]) == 2 for t in trials)
 
+    def test_negative_numbers_with_an_exponent_are_values(self, tmp_path, capsys):
+        # argparse would read -3e-4 as an unknown option and exit 2 with
+        # "expected one argument"; each flag must run as its plain decimal.
+        common = ["run", "--preset", "subthz", "--trials", "1", "--seed", "2",
+                  "--csi", "sounded", "--grid-stop", "0.003", "--grid-step", "0.0003"]
+        spellings = {
+            "plain": ["-0.003", "-0.0003", "-0.0003", "-10"],
+            "exponent": ["-3e-3", "-3E-4", "-3e-04", "-1e1"],
+        }
+        for name, (start, target, user, snr) in spellings.items():
+            code = run_cli(*common, "--grid-start", start, "--target", target,
+                           "--users", user, "3e-4", "--sounding-snr-db", snr,
+                           "--outdir", tmp_path / name)
+            assert code == 0, (name, capsys.readouterr().err)
+        assert tree_bytes(tmp_path / "exponent") == tree_bytes(tmp_path / "plain")
+        # A negative infinity is a value too, refused by the config check.
+        assert run_cli(*common, "--target", "-inf", "--outdir", tmp_path / "inf") == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_metric_sentinels_are_strict_json(self, tmp_path, capsys):
         def reject(name):
             raise ValueError(f"{name} is not strict JSON")

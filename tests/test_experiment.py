@@ -6,6 +6,8 @@ import math
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -15,8 +17,8 @@ import pytest
 import trfocus.cli as cli
 import trfocus.experiment as experiment
 from oracles import no_tr_power, sound_cirs_per_antenna
-from test_cli import tree_bytes
-from trfocus.channel import ChannelEnsemble, RxGrid, build_ensemble
+from test_cli import child_env, tree_bytes
+from trfocus.channel import ChannelEnsemble, RxGrid, build_ensemble, check_ensemble_size
 from trfocus.errors import (
     ConfigError,
     DegenerateProbeError,
@@ -37,6 +39,7 @@ from trfocus.experiment import (
     thread_count,
     write_outputs,
 )
+from trfocus.link import check_trdma_size
 from trfocus.precoding import tr_filters
 from trfocus.signalops import inband_nmse_db
 
@@ -128,13 +131,22 @@ class TestScenarioConfig:
             config_from_preset("subthz", n_trials=MAX_TRIALS + 1, seed=0)
 
     def test_ensemble_budget_checked_before_allocation(self):
+        # Every refusal shares check_budget's wording.
+        budget = "over the 1024 MiB budget"
         # 10^6 points x 8 Tx x (320 taps + 640 bins) x 16 bytes is 114 GiB.
+        # The 2L - 1 bins of the pre-check make its size a lower bound.
         grid = RxGrid(np.arange(1_000_000) * 1e-9)
-        with pytest.raises(ParameterError, match="budget"):
+        with pytest.raises(ParameterError, match=f"needs at least .* MiB, {budget}"):
             config_from_preset("sub6ghz", grid=grid, target_m=0.0)
         cavity = PRESETS["sub6ghz"].cavity()
-        with pytest.raises(ParameterError, match="budget"):
+        with pytest.raises(ParameterError, match=budget):
             build_ensemble(cavity, grid, 8, 0)
+        # 7 taps take 14 bins, so 3.3e6 CIRs pass the 16 x 20-byte lower
+        # bound and their exact 16 x 21 bytes are over.
+        with pytest.raises(ParameterError, match=f"7 taps needs 1.06e\\+3 MiB, {budget}"):
+            check_ensemble_size(1, 3_300_000, 7)
+        with pytest.raises(ParameterError, match=f"8192 users .* {budget}"):
+            check_trdma_size(8192, 1)
         with pytest.raises(ConfigError, match="budget"):
             _grid_positions(0.0, 0.30, 1e-9)
         # The span over the step overflows to inf before any int() of it.
@@ -143,14 +155,28 @@ class TestScenarioConfig:
                 _grid_positions(*bounds)
         # Sounding with a 1 s chirp at 400 MS/s: four arrays of (8 + 1) x 2^29
         # complex values are 288 GiB at the peak.
-        with pytest.raises(ParameterError, match="budget"):
+        with pytest.raises(ParameterError, match=budget):
             config_from_preset("sub6ghz", csi_mode="sounded", chirp_duration_s=1.0)
         ens = build_ensemble(cavity, RxGrid(np.array([0.0])), 8, 0)
-        with pytest.raises(ParameterError, match="budget"):
+        with pytest.raises(ParameterError, match=f"sounding 8 antennas .* {budget}"):
             sound_cirs(ens, 0, 1.0, 30.0, 0)
         for duration in (math.inf, math.nan, 1e308, 0.0):
             with pytest.raises(ParameterError, match="positive and finite"):
                 sound_cirs(ens, 0, duration, 30.0, 0)
+
+    def test_size_checks_that_pass_format_nothing(self):
+        # A refusal's message imports decimal, 0.3 MiB and 1-3 ms; a
+        # sounded TRDMA config runs all three budget checks and fits.
+        code = (
+            "import sys; from trfocus.experiment import config_from_preset; "
+            "config_from_preset('subthz', csi_mode='sounded', users_m=[-3e-4, 3e-4]); "
+            "print('decimal' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize(
         "overrides",

@@ -44,6 +44,17 @@ _TAIL_GUARD_OVERSAMPLES = 8
 ENSEMBLE_BUDGET_BYTES = 1 << 30
 
 
+def _is_int(value, low: int = 0, end: int | None = None) -> bool:
+    """True for an int or numpy integer in [low, end), not a bool: numpy
+    would read a negative index from the end and a bool as 0 or 1."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and low <= value
+        and (end is None or value < end)
+    )
+
+
 def _unit3(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64).reshape(3)
     norm = float(np.linalg.norm(arr))
@@ -85,7 +96,7 @@ class CavityParams:
             raise ParameterError("aperture_half_angle_rad must lie in (0, pi]")
         for name in ("n_paths", "oversample"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
+            if not _is_int(value, low=1):
                 raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
         # Synthesis takes each delay in samples and its carrier phase.
         rate = max(self.sample_rate_hz, 2.0 * math.pi * self.carrier_hz)
@@ -156,12 +167,13 @@ def _spectrum_length(cir_length: int) -> int:
     return best
 
 
-def _sig3(n: int) -> str:
-    """n to three significant digits.  Decimal formats an int past float
-    range too, such as 10**400 antennas or the size of their grid."""
-    from decimal import Decimal  # 1-3 ms and 0.3 MiB of import, paid on error paths only
+def _sig3(n: int, rounding: str = "ROUND_HALF_EVEN") -> str:
+    """n to three significant digits under a decimal rounding mode.
+    Decimal formats an int past float range too, such as 10**400 antennas
+    or the size of their grid."""
+    from decimal import Context  # 1-3 ms and 0.3 MiB of import, paid on error paths only
 
-    return f"{Decimal(n):.3g}"
+    return f"{Context(prec=3, rounding=rounding).create_decimal(n):.3g}"
 
 
 def check_budget(n_bytes: int, what: Callable[[], str]) -> None:
@@ -169,14 +181,14 @@ def check_budget(n_bytes: int, what: Callable[[], str]) -> None:
 
     what() names the allocation and ends in its verb, as in "sounding 8
     antennas with a 1 s chirp needs"; the message goes on with the size in
-    MiB and the budget.  It is called on refusal only, so a size that fits
-    formats nothing.
+    MiB, rounded up so that it never reads below the budget, and the
+    budget.  It is called on refusal only, so a size that fits formats
+    nothing.
     """
     if n_bytes > ENSEMBLE_BUDGET_BYTES:
         budget_mib = ENSEMBLE_BUDGET_BYTES >> 20
-        raise ParameterError(
-            f"{what()} {_sig3(n_bytes >> 20)} MiB, over the {budget_mib} MiB budget"
-        )
+        mib = _sig3(-(-n_bytes >> 20), "ROUND_CEILING")  # ceil(n_bytes / 2^20), rounded up
+        raise ParameterError(f"{what()} {mib} MiB, over the {budget_mib} MiB budget")
 
 
 def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
@@ -194,24 +206,6 @@ def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
     # before _spectrum_length enumerates the smooth numbers below it.
     check_budget(16 * n_tx * n_rx * (3 * cir_length - 1), lambda: f"{what()} at least")
     check_budget(16 * n_tx * n_rx * (cir_length + _spectrum_length(cir_length)), what)
-
-
-def _is_seed(value) -> bool:
-    """True for None or an int or numpy integer >= 0, not a bool: the
-    seeds an ensemble file's header may hold."""
-    return value is None or (
-        isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
-    )
-
-
-def _is_index(value, size: int) -> bool:
-    """True for an int or numpy integer in range(size), not a bool: numpy
-    would read a negative index from the end and a bool as 0 or 1."""
-    return (
-        isinstance(value, (int, np.integer))
-        and not isinstance(value, bool)
-        and 0 <= value < size
-    )
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,7 @@ class ChannelEnsemble:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_seed(self.seed):
+        if not (self.seed is None or _is_int(self.seed)):
             raise ParameterError(f"seed {self.seed!r} must be an integer >= 0 or None")
         if self.seed is not None:
             object.__setattr__(self, "seed", int(self.seed))  # JSON-writable
@@ -270,7 +264,7 @@ class ChannelEnsemble:
     def check_rx(self, rx: int) -> None:
         """Raise InvalidTargetError unless rx is an integer index of a grid
         position."""
-        if not _is_index(rx, len(self.grid)):
+        if not _is_int(rx, end=len(self.grid)):
             raise InvalidTargetError(f"grid index {rx!r} is not in range({len(self.grid)})")
 
     def cirs_at(self, rx: int) -> np.ndarray:
@@ -435,14 +429,17 @@ def spatial_correlation_theory(
     Gauss-Legendre quadrature on theta in [0, theta_m], with panels in
     which k dx sin(theta) moves by at most 32 rad.  Narrow cones approach
     the paraxial 2 J1(v)/v, v = k dx sin(theta_m); a hemisphere gives
-    sin(k dx)/(k dx) again.
+    sin(k dx)/(k dx) again.  A non-finite delta_x_m, carrier_hz or k dx,
+    or a quadrature over ENSEMBLE_BUDGET_BYTES, raises ParameterError.
     """
-    if carrier_hz <= 0:
-        raise ParameterError("carrier_hz must be positive")
+    if not 0 < carrier_hz < math.inf:  # also refuses NaN
+        raise ParameterError(f"carrier_hz must be positive and finite: {carrier_hz!r}")
     if not 0 < aperture_half_angle_rad <= math.pi:
         raise ParameterError("aperture_half_angle_rad must lie in (0, pi]")
     k = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
     z = k * abs(float(delta_x_m))
+    if not math.isfinite(z):
+        raise ParameterError(f"k |delta_x_m| must be finite: delta_x_m={delta_x_m!r}, k={k!r}")
     if z == 0.0:
         return 1.0
     theta_m = aperture_half_angle_rad
@@ -450,8 +447,11 @@ def spatial_correlation_theory(
         return math.sin(z) / z
     from scipy.special import j0 as _bessel_j0
 
+    n_panels = 1 + int(z * theta_m / 32.0)
+    # The quadrature holds at most five (n_panels, 64) float arrays at once.
+    check_budget(5 * 8 * 64 * n_panels, lambda: f"a quadrature of {_sig3(n_panels)} panels needs")
     nodes, weights = np.polynomial.legendre.leggauss(64)
-    edges = np.linspace(0.0, theta_m, 2 + int(z * theta_m / 32.0))
+    edges = np.linspace(0.0, theta_m, n_panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     theta = edges[:-1, None] + half * (nodes + 1.0)
     integral = float(np.sum(half * weights * _bessel_j0(z * np.sin(theta)) * np.sin(theta)))
@@ -546,7 +546,7 @@ def load_ensemble(path) -> ChannelEnsemble:
             mode, seed = header["mode"], header["seed"]
             if not all(type(n) is int for n in shape):
                 raise TypeError(f"n_tx, n_rx and cir_length {shape} must be JSON integers")
-            if not _is_seed(seed):
+            if not (seed is None or _is_int(seed)):
                 raise TypeError(f"seed {seed!r} must be an integer >= 0 or null")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"{path}: malformed header ({exc!r})") from exc

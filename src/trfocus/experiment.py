@@ -42,7 +42,7 @@ from .errors import (
     ParameterError,
 )
 from .link import check_trdma_size, focus_field, trdma_link
-from .metrics import focusing_gain, isi_ratio, sir, spatial_profile, temporal_fwhm
+from .metrics import _db_profile, focusing_gain, isi_ratio, sir, spatial_profile, temporal_fwhm
 from .precoding import tr_filters
 from .signalops import gen_chirp
 
@@ -439,7 +439,7 @@ def _measure_target(
 
     t_fwhm = _unless(EdgePeakError, temporal_fwhm, row, fld.sample_rate_hz)
     spatial_power = s_fwhm = gain_db = None
-    if fld.n_positions >= 2:
+    if len(ensemble.grid) >= 2:
         spatial_power = np.abs(fld.field[:, peak_n]) ** 2
         s_fwhm = _unless(EdgePeakError, lambda: spatial_profile(fld, peak_n).fwhm_m)
         gain_db = _unless(DegenerateBackgroundError, focusing_gain, fld, target)
@@ -642,11 +642,6 @@ def _mean_or_none(values) -> float | None:
     return float(np.mean(vals))
 
 
-def _db_profile(mean_linear: np.ndarray) -> np.ndarray:
-    ref = float(mean_linear.max())
-    return 10.0 * np.log10(np.maximum(mean_linear, 1e-300) / max(ref, 1e-300))
-
-
 def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) -> dict:
     """Write per-trial CSV rows, mean profiles, trial records and the summary.
 
@@ -796,7 +791,8 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
     B = 100 MHz, 8 antennas).  fig2b: single target at 10 cm, B = 400 MHz,
     temporal profile.  fig3: mmWave two-user TRDMA at +/-1 cm.  fig4:
     subTHz focusing at +/-0.9 mm (the grid points nearest 1 mm) plus the
-    no-TR baseline profile.  Returns a manifest of the files written.
+    no-TR baseline profile.  Returns a manifest of the files written,
+    each relative to outdir, so its bytes do not depend on where outdir is.
     """
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
@@ -814,10 +810,11 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
     def profile_csv(name: str, cfg: ScenarioConfig, profile: np.ndarray) -> None:
         path = out / name
         _write_csv(path, "position_m,power_db", cfg.grid.positions_m, _db_profile(profile))
-        manifest["files"].append(str(path))
+        manifest["files"].append(name)
 
     def run_files(cfg: ScenarioConfig, *names: str) -> None:
-        manifest["files"].extend(str(Path(cfg.outdir) / name) for name in names)
+        subdir = Path(cfg.outdir).relative_to(out)
+        manifest["files"].extend((subdir / name).as_posix() for name in names)
 
     if figure_id == "fig2a":
         grid = RxGrid(_grid_positions(0.0, 0.30, 0.005))

@@ -8,44 +8,23 @@ each user's own received stream, O(U (U + L)) values in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelEnsemble, _is_index, check_budget
-from .errors import DimensionMismatchError, InvalidTargetError, ParameterError
+from .channel import ChannelEnsemble, check_budget
+from .errors import DimensionMismatchError, InvalidTargetError
 
 
-def _frozen(values) -> np.ndarray:
-    """values as a read-only complex array; a writable one is copied,
-    never frozen in place."""
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
+class SpaceTimeField(NamedTuple):
+    """Received complex field indexed by (rx grid position, time sample),
+    as focus_field returns it."""
 
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """Received complex field indexed by (rx grid position, time sample)."""
-
-    field: np.ndarray  # complex, shape (n_rx, 2L-1)
+    field: np.ndarray  # complex, shape (n_rx, 2L-1), read-only
     positions_m: np.ndarray
     peak_index: int  # nominal focusing instant, L-1
     sample_rate_hz: float
     oversample: int
-
-    def __post_init__(self):
-        arr = _frozen(self.field)
-        if arr.ndim != 2 or arr.shape[0] != np.asarray(self.positions_m).size:
-            raise DimensionMismatchError("field must have shape (n_rx, n_time)")
-        object.__setattr__(self, "field", arr)
-
-    @property
-    def n_positions(self) -> int:
-        return self.field.shape[0]
 
 
 def check_trdma_size(n_users: int, cir_length: int) -> None:
@@ -57,47 +36,24 @@ def check_trdma_size(n_users: int, cir_length: int) -> None:
     )
 
 
-@dataclass(frozen=True)
-class TrdmaResult:
-    """What U TRDMA users receive, as far as SIR and ISI read it.
+class TrdmaResult(NamedTuple):
+    """What U TRDMA users receive, as far as SIR and ISI read it, as
+    trdma_link returns it.
 
     at_peak[v, u] is the sample at the focusing instant at user u's
     position from user v's precoder, shape (U, U); own_rx[u] is user u's
     whole record of its own stream, shape (U, 2L-1), so own_rx[u,
     peak_index] is at_peak[u, u].  Together they hold 16 U (U + 2L - 1)
     bytes; the off-peak cross samples, 16 U^2 (2L - 1) bytes, are never
-    kept.  Both arrays are read-only; writable inputs are copied.
-
-    A non-square at_peak, or an own_rx without one row per user, raises
-    DimensionMismatchError.  symbol_period_samples is an integer >= 1 and
-    peak_index a sample index into an own_rx row; anything else raises
-    ParameterError.
+    kept.  Both arrays are read-only.  isi_ratio refuses a
+    symbol_period_samples that is not an integer >= 1 and a peak_index
+    outside an own_rx row.
     """
 
     at_peak: np.ndarray  # complex, shape (U, U)
     own_rx: np.ndarray  # complex, shape (U, 2L-1)
     symbol_period_samples: int
     peak_index: int
-
-    def __post_init__(self):
-        at_peak, own_rx = _frozen(self.at_peak), _frozen(self.own_rx)
-        if at_peak.ndim != 2 or at_peak.shape[0] != at_peak.shape[1]:
-            raise DimensionMismatchError(f"at_peak must have shape (U, U), got {at_peak.shape}")
-        if own_rx.ndim != 2 or own_rx.shape[0] != at_peak.shape[0]:
-            raise DimensionMismatchError(
-                f"own_rx must have shape ({at_peak.shape[0]}, n_time), got {own_rx.shape}"
-            )
-        period = self.symbol_period_samples
-        if isinstance(period, bool) or not isinstance(period, (int, np.integer)) or period < 1:
-            raise ParameterError(f"symbol_period_samples must be an integer >= 1: {period!r}")
-        if not _is_index(self.peak_index, own_rx.shape[1]):
-            raise ParameterError(f"peak_index {self.peak_index!r} is not in range({own_rx.shape[1]})")
-        object.__setattr__(self, "at_peak", at_peak)
-        object.__setattr__(self, "own_rx", own_rx)
-
-    @property
-    def n_users(self) -> int:
-        return self.at_peak.shape[0]
 
 
 def _check_bank(bank, ensemble: ChannelEnsemble) -> None:
@@ -130,7 +86,7 @@ def focus_field(bank: np.ndarray, ensemble: ChannelEnsemble) -> SpaceTimeField:
     """
     _check_bank(bank, ensemble)
     field = _bank_through_channel(bank, ensemble.spectrum.transpose(2, 0, 1))
-    field.setflags(write=False)  # SpaceTimeField keeps it without a copy
+    field.setflags(write=False)
     return SpaceTimeField(
         field=field,
         positions_m=ensemble.grid.positions_m,
@@ -172,7 +128,7 @@ def trdma_link(
         rows = _bank_through_channel(bank, target_spectra)  # rows[u]: at user u
         at_peak[v] = rows[:, length - 1]
         own_rx[v] = rows[v]
-    at_peak.setflags(write=False)  # TrdmaResult keeps both without a copy
+    at_peak.setflags(write=False)
     own_rx.setflags(write=False)
     return TrdmaResult(
         at_peak=at_peak,

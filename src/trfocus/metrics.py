@@ -7,15 +7,21 @@ between samples; the same definition is used for time and space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _is_index
+from .channel import _is_int
 from .errors import DegenerateBackgroundError, EdgePeakError, ParameterError
 from .link import SpaceTimeField, TrdmaResult
 
 _POWER_FLOOR = 1e-300  # keeps dB conversion finite on exact zeros
+
+
+def _db_profile(power: np.ndarray) -> np.ndarray:
+    """power in dB relative to its peak, 0 dB there."""
+    ref = float(power.max())
+    return 10.0 * np.log10(np.maximum(power, _POWER_FLOOR) / max(ref, _POWER_FLOOR))
 
 
 def _half_power_width(power: np.ndarray, coords: np.ndarray) -> float:
@@ -56,8 +62,7 @@ def temporal_fwhm(y, sample_rate_hz: float) -> float:
     return _half_power_width(power, np.arange(samples.size) / sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class SpatialProfile:
+class SpatialProfile(NamedTuple):
     power_db: np.ndarray  # normalized to the spatial peak
     fwhm_m: float
 
@@ -70,12 +75,11 @@ def spatial_profile(field: SpaceTimeField, peak_time_index: int) -> SpatialProfi
     A peak on the first or last grid position raises EdgePeakError.
     """
     n_time = field.field.shape[1]
-    if not _is_index(peak_time_index, n_time):
+    if not _is_int(peak_time_index, end=n_time):
         raise ParameterError(f"peak_time_index {peak_time_index!r} is not in range({n_time})")
     power = np.abs(field.field[:, peak_time_index]) ** 2
     fwhm = _half_power_width(power, field.positions_m)
-    norm = np.maximum(power, _POWER_FLOOR) / max(power.max(), _POWER_FLOOR)
-    return SpatialProfile(power_db=10.0 * np.log10(norm), fwhm_m=fwhm)
+    return SpatialProfile(power_db=_db_profile(power), fwhm_m=fwhm)
 
 
 def focusing_gain(field: SpaceTimeField, target_index: int) -> float:
@@ -86,7 +90,7 @@ def focusing_gain(field: SpaceTimeField, target_index: int) -> float:
     2 * oversample samples.
     """
     n_rx, n_time = field.field.shape
-    if not _is_index(target_index, n_rx):
+    if not _is_int(target_index, end=n_rx):
         raise ParameterError(f"target_index {target_index!r} is not in range({n_rx})")
     power = np.abs(field.field) ** 2
     target_row = power[target_index]
@@ -120,7 +124,7 @@ def sir(trdma: TrdmaResult) -> np.ndarray:
     interference yields the +inf sentinel, and a zero signal under nonzero
     interference -inf.
     """
-    n_users = trdma.n_users
+    n_users = trdma.at_peak.shape[0]
     if n_users < 2:
         raise ParameterError("SIR needs at least two users")
     at_peak = np.abs(trdma.at_peak) ** 2  # (v, u)
@@ -138,11 +142,16 @@ def isi_ratio(trdma: TrdmaResult) -> np.ndarray:
 
     +inf sentinel when the leak is zero, as when no other symbol instant
     falls inside the record; -inf when the peak is zero but the leak is not.
+    A symbol period that is not an integer >= 1, which would never end the
+    offset loop, and a peak index outside the record raise ParameterError.
     """
-    n_users = trdma.n_users
+    n_users, n_time = trdma.own_rx.shape
     peak_n = trdma.peak_index
     period = trdma.symbol_period_samples
-    n_time = trdma.own_rx.shape[1]
+    if not _is_int(period, low=1):
+        raise ParameterError(f"symbol_period_samples must be an integer >= 1: {period!r}")
+    if not _is_int(peak_n, end=n_time):
+        raise ParameterError(f"peak_index {peak_n!r} is not in range({n_time})")
     offsets = []
     m = 1
     while peak_n + m * period < n_time or peak_n - m * period >= 0:

@@ -383,6 +383,18 @@ class TestSpatialCorrelationTheory:
             wide = spatial_correlation_theory(dx, fc, math.pi - 1e-6)
             assert wide == pytest.approx(full, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "dx, fc, match",
+        [(math.nan, 1e9, "finite"), (math.inf, 1e9, "finite"), (0.01, math.nan, "carrier_hz"),
+         (0.01, math.inf, "carrier_hz"), (1e300, 1e300, "finite"), (1e12, 1e9, "budget")],
+        ids=["nan_dx", "inf_dx", "nan_fc", "inf_fc", "overflowing_k_dx", "huge_dx"],
+    )
+    def test_unsizable_inputs_raise_parameter_error(self, dx, fc, match):
+        # 1e12 m at 1 GHz would take 3.3e11 quadrature panels, hundreds of
+        # TiB; the budget refuses them before any is allocated.
+        with pytest.raises(ParameterError, match=match):
+            spatial_correlation_theory(dx, fc, 0.5)
+
 
 class TestEnsembleStatistics:
     def test_empirical_correlation_matches_theory(self):

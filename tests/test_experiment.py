@@ -145,7 +145,8 @@ class TestScenarioConfig:
         # bound and their exact 16 x 21 bytes are over.
         with pytest.raises(ParameterError, match=f"7 taps needs 1.06e\\+3 MiB, {budget}"):
             check_ensemble_size(1, 3_300_000, 7)
-        with pytest.raises(ParameterError, match=f"8192 users .* {budget}"):
+        # 1024.1 MiB rounds up, never down to a size within the budget.
+        with pytest.raises(ParameterError, match=f"8192 users .* needs 1.03e\\+3 MiB, {budget}"):
             check_trdma_size(8192, 1)
         with pytest.raises(ConfigError, match="budget"):
             _grid_positions(0.0, 0.30, 1e-9)
@@ -721,3 +722,14 @@ class TestWriteOutputs:
         ):
             text = (tmp_path / name).read_text(encoding="utf-8")
             assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestReproduce:
+    def test_manifest_bytes_do_not_depend_on_the_outdir(self, tmp_path):
+        # The manifest lists its files relative to the outdir.
+        manifests = []
+        for outdir in (tmp_path / "a", tmp_path / "deeper" / "b"):
+            experiment.reproduce("fig2a", outdir.resolve(), seed=1, trials=1)
+            manifests.append((outdir / "fig2a_manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["files"] == ["fig2a_spatial.csv"]

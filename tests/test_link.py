@@ -13,7 +13,7 @@ from oracles import convolved_sum
 from trfocus.channel import CavityParams, ChannelEnsemble, RxGrid, build_ensemble
 from trfocus.errors import DimensionMismatchError, InvalidTargetError, ParameterError
 from trfocus.experiment import config_from_preset, sound_cirs
-from trfocus.link import SpaceTimeField, check_trdma_size, focus_field, trdma_link
+from trfocus.link import check_trdma_size, focus_field, trdma_link
 from trfocus.precoding import tr_filters
 
 
@@ -86,14 +86,11 @@ class TestFocusField:
     def test_field_is_read_only_and_never_aliases_a_caller_array(self):
         params = rich_params(n_paths=50)
         ens = build_ensemble(params, RxGrid(np.array([0.0, 0.02])), 2, 6)
-        fld = focus_field(tr_filters(ens.cirs_at(0), 1.0), ens)
+        bank = tr_filters(ens.cirs_at(0), 1.0)
+        fld = focus_field(bank, ens)
         assert not fld.field.flags.writeable
-        mine = np.array(fld.field)
-        copied = SpaceTimeField(mine, fld.positions_m, fld.peak_index,
-                                fld.sample_rate_hz, fld.oversample)
-        assert mine.flags.writeable and not copied.field.flags.writeable
-        mine[:] = 0.0
-        np.testing.assert_array_equal(copied.field, fld.field)
+        for caller_array in (bank, ens.cirs, ens.spectrum, ens.grid.positions_m):
+            assert not np.shares_memory(fld.field, caller_array)
 
     def test_energy_scaling_preserves_argmax(self):
         params = rich_params(n_paths=100)

@@ -7,12 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from trfocus.channel import RxGrid, build_ensemble
-from trfocus.errors import (
-    DegenerateBackgroundError,
-    DimensionMismatchError,
-    EdgePeakError,
-    ParameterError,
-)
+from trfocus.errors import DegenerateBackgroundError, EdgePeakError, ParameterError
 from trfocus.link import SpaceTimeField, TrdmaResult, trdma_link
 from trfocus.metrics import (
     focusing_gain,
@@ -299,24 +294,17 @@ class TestSirAndIsi:
         # A period below 1 would keep isi_ratio's offset loop from ending,
         # and a negative peak index would read the record from its end.
         with pytest.raises(ParameterError, match=match):
-            TrdmaResult(np.ones((2, 2)), np.ones((2, 7)), period, peak)
+            isi_ratio(TrdmaResult(np.ones((2, 2)), np.ones((2, 7)), period, peak))
 
-    @pytest.mark.parametrize(
-        "at_peak_shape, own_rx_shape",
-        [((2, 3), (2, 7)), ((2,), (2, 7)), ((2, 2, 1), (2, 7)), ((2, 2), (3, 7)),
-         ((2, 2), (7,)), ((2, 2), (2, 7, 1))],
-    )
-    def test_mismatched_shapes_raise_dimension_mismatch(self, at_peak_shape, own_rx_shape):
-        with pytest.raises(DimensionMismatchError):
-            TrdmaResult(np.ones(at_peak_shape), np.ones(own_rx_shape), 2, 3)
-
-    def test_arrays_are_read_only_copies(self):
-        at_peak, own_rx = np.ones((2, 2), complex), np.ones((2, 7), complex)
-        res = TrdmaResult(at_peak, own_rx, 2, 3)
+    def test_trdma_link_arrays_are_read_only(self):
+        params = rich_params(n_paths=50)
+        ens = build_ensemble(params, RxGrid(np.array([0.0, 0.02])), 2, 6)
+        banks = [tr_filters(ens.cirs_at(u), 1.0) for u in (0, 1)]
+        # The link takes any period; isi_ratio, which reads it, refuses 0.
+        res = trdma_link(banks, ens, [0, 1], symbol_period_samples=0)
         assert not res.at_peak.flags.writeable and not res.own_rx.flags.writeable
-        assert at_peak.flags.writeable and own_rx.flags.writeable
-        at_peak[:] = own_rx[:] = 0.0
-        assert res.at_peak[0, 0] == res.own_rx[0, 3] == 1.0
+        with pytest.raises(ParameterError, match="symbol_period"):
+            isi_ratio(res)
 
     def test_isi_ratio_counts_symbol_instants(self):
         length = 16

@@ -59,8 +59,8 @@ def main() -> int:
         env = dict(os.environ, TRFOCUS_THREADS=str(threads))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         for name, command in CAMPAIGNS.items():
-            # Relative to OUT, so the paths that the reproduce manifests
-            # list are the same wherever OUT is.
+            # The reproduce manifests list their files relative to outdir,
+            # so every threads1/ file equals its threads3/ twin.
             outdir = f"threads{threads}/{name}"
             subprocess.run(
                 [sys.executable, "-m", "trfocus", *command,

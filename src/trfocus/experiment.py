@@ -18,6 +18,7 @@ import pickle
 import threading
 import warnings
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -42,7 +43,9 @@ from .errors import (
     ParameterError,
 )
 from .link import check_trdma_size, focus_field, trdma_link
-from .metrics import _db_profile, focusing_gain, isi_ratio, sir, spatial_profile, temporal_fwhm
+from .metrics import (
+    _db_profile, _power_db, focusing_gain, isi_ratio, sir, spatial_profile, temporal_fwhm,
+)
 from .precoding import tr_filters
 from .signalops import gen_chirp
 
@@ -607,13 +610,20 @@ def run_trials(config: ScenarioConfig) -> list[TrialOutput]:
 # File emission
 
 
-def _write_csv(path, header: str, *columns: np.ndarray) -> None:
-    """One row per index of the numpy columns, each value the repr of its
-    Python scalar: floats round-trip exactly and int columns stay ints."""
+def _write_csv(path, header: str, rows) -> None:
+    """The header, then one line per row as the rows arrive.  A row is a
+    tuple of Python scalars, one per header column, each written as its
+    repr: floats round-trip exactly and ints stay ints."""
+    line = ",".join(["%r"] * len(header.split(","))) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in zip(*(map(repr, column.tolist()) for column in columns)):
-            fh.write(",".join(row) + "\n")
+        for row in rows:
+            fh.write(line % row)
+
+
+def _write_profile(path, header: str, coords: list[float], power: np.ndarray) -> None:
+    """One (coordinate, power in dB over its peak) row per coordinate."""
+    _write_csv(path, header, zip(coords, _db_profile(power).tolist()))
 
 
 def _strict_json(obj):
@@ -637,9 +647,16 @@ def _write_json(path, obj) -> None:
 
 def _mean_or_none(values) -> float | None:
     vals = [v for v in values if v is not None]
-    if not vals:
-        return None
-    return float(np.mean(vals))
+    return float(np.mean(vals)) if vals else None
+
+
+def _trial_mean(profiles: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean of the per-trial profiles, summed in trial order: the bits of
+    np.mean(profiles, axis=0) without stacking the profiles."""
+    acc = np.zeros(profiles[0].shape)
+    for profile in profiles:
+        acc += profile
+    return acc / len(profiles)
 
 
 def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) -> dict:
@@ -649,40 +666,30 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
     temporal_trials.csv (trial,time_s,power_db), spatial_mean.csv
     (position_m,power_db; normalized to its peak), temporal_mean.csv
     (time_s,power_db), trials.json, summary.json.  Each trials.json row
-    and the summary carry the config echo fc_hz, b_hz, nt and seed.
-    Returns the summary.
+    and the summary carry the config echo fc_hz, b_hz, nt and seed.  The
+    CSV writer holds one trial's rows at a time.  Returns the summary.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    positions = config.grid.positions_m
-    trials = np.array([o.trial for o in outputs])
+    positions = config.grid.positions_m.tolist()
+    times = (np.arange(len(outputs[0].temporal_power)) / config.cavity.sample_rate_hz).tolist()
 
-    times = np.arange(len(outputs[0].temporal_power)) / config.cavity.sample_rate_hz
-    _write_csv(
-        out / "temporal_trials.csv",
-        "trial,time_s,power_db",
-        np.repeat(trials, times.size),
-        np.tile(times, len(outputs)),
-        np.concatenate([10.0 * np.log10(np.maximum(o.temporal_power, 1e-300)) for o in outputs]),
+    rows = chain.from_iterable(
+        zip(repeat(int(o.trial)), times, _power_db(o.temporal_power).tolist()) for o in outputs
     )
-    mean_temporal = np.mean([o.temporal_power for o in outputs], axis=0)
-    _write_csv(out / "temporal_mean.csv", "time_s,power_db", times, _db_profile(mean_temporal))
+    _write_csv(out / "temporal_trials.csv", "trial,time_s,power_db", rows)
+    mean_temporal = _trial_mean([o.temporal_power for o in outputs])
+    _write_profile(out / "temporal_mean.csv", "time_s,power_db", times, mean_temporal)
 
     if outputs[0].spatial_power is not None:
-        _write_csv(
-            out / "spatial_trials.csv",
-            "trial,position_m,power_db,peak_time_s",
-            np.repeat(trials, positions.size),
-            np.tile(positions, len(outputs)),
-            np.concatenate(
-                [10.0 * np.log10(np.maximum(o.spatial_power, 1e-300)) for o in outputs]
-            ),
-            np.repeat([o.peak_time_s for o in outputs], positions.size),
+        rows = chain.from_iterable(
+            zip(repeat(int(o.trial)), positions, _power_db(o.spatial_power).tolist(),
+                repeat(float(o.peak_time_s)))
+            for o in outputs
         )
-        mean_spatial = np.mean([o.spatial_power for o in outputs], axis=0)
-        _write_csv(
-            out / "spatial_mean.csv", "position_m,power_db", positions, _db_profile(mean_spatial)
-        )
+        _write_csv(out / "spatial_trials.csv", "trial,position_m,power_db,peak_time_s", rows)
+        mean_spatial = _trial_mean([o.spatial_power for o in outputs])
+        _write_profile(out / "spatial_mean.csv", "position_m,power_db", positions, mean_spatial)
 
     echo = {
         "fc_hz": config.cavity.carrier_hz,
@@ -690,10 +697,11 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
         "nt": config.n_tx,
         "seed": config.seed,
     }
-    rows = [{**{name: getattr(o, name) for name in _ROW_FIELDS}, **echo} for o in outputs]
-    _write_json(out / "trials.json", _strict_json(rows))
+    records = [{**{name: getattr(o, name) for name in _ROW_FIELDS}, **echo} for o in outputs]
+    _write_json(out / "trials.json", _strict_json(records))
 
-    sir_means = [float(np.mean(o.sir_db)) for o in outputs if o.sir_db is not None]
+    # A trial's SIR is the mean over its users; None where it is dropped.
+    sir_means = [_mean_or_none(o.sir_db or ()) for o in outputs]
     summary = _strict_json({
         **echo,
         "trials": config.n_trials,
@@ -716,14 +724,6 @@ def run_experiment(config: ScenarioConfig) -> dict:
 # Figure reproduction
 
 FIGURE_IDS = ("fig2a", "fig2b", "fig3", "fig4")
-
-
-def _trial_mean(profiles: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of the per-trial profiles, summed in trial order."""
-    acc = np.zeros(profiles[0].shape)
-    for profile in profiles:
-        acc += profile
-    return acc / len(profiles)
 
 
 def _mean_profile(config: ScenarioConfig, fn) -> np.ndarray:
@@ -808,8 +808,7 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
         )
 
     def profile_csv(name: str, cfg: ScenarioConfig, profile: np.ndarray) -> None:
-        path = out / name
-        _write_csv(path, "position_m,power_db", cfg.grid.positions_m, _db_profile(profile))
+        _write_profile(out / name, "position_m,power_db", cfg.grid.positions_m.tolist(), profile)
         manifest["files"].append(name)
 
     def run_files(cfg: ScenarioConfig, *names: str) -> None:

@@ -18,6 +18,11 @@ from .link import SpaceTimeField, TrdmaResult
 _POWER_FLOOR = 1e-300  # keeps dB conversion finite on exact zeros
 
 
+def _power_db(power: np.ndarray) -> np.ndarray:
+    """power in dB, floored at _POWER_FLOOR."""
+    return 10.0 * np.log10(np.maximum(power, _POWER_FLOOR))
+
+
 def _db_profile(power: np.ndarray) -> np.ndarray:
     """power in dB relative to its peak, 0 dB there."""
     ref = float(power.max())

@@ -9,8 +9,11 @@ a pure delay of L-1 samples.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .channel import _is_int, _sig3, check_budget
 from .errors import DegenerateChannelError, DimensionMismatchError, ParameterError
 
 
@@ -30,8 +33,8 @@ def _stack_cirs(cirs) -> np.ndarray:
 
 
 def _joint_scale(taps: np.ndarray, total_energy: float) -> float:
-    if total_energy <= 0:
-        raise ParameterError("total_energy must be positive")
+    if not 0 < total_energy < math.inf:  # also refuses NaN
+        raise ParameterError(f"total_energy must be positive and finite: {total_energy!r}")
     total = float(np.sum(np.abs(taps) ** 2))
     if total == 0.0:
         raise DegenerateChannelError("all CIRs are zero")
@@ -57,12 +60,17 @@ def mrt_weights(cirs, n_bins: int, total_energy: float = 1.0) -> np.ndarray:
 
     Uses the same joint normalization constant as :func:`tr_filters`, so
     by Parseval the bank and the weights carry the same total energy.
+    n_bins must be an integer >= L whose weights fit ENSEMBLE_BUDGET_BYTES.
     """
     taps = _stack_cirs(cirs)
-    if n_bins < taps.shape[1]:
-        raise ParameterError("n_bins must be at least the CIR length")
+    n_tx, length = taps.shape
+    if not _is_int(n_bins, low=length):
+        raise ParameterError(f"n_bins must be an integer >= the CIR length {length}: {n_bins!r}")
+    check_budget(16 * n_tx * n_bins, lambda: f"MRT weights for {n_tx} x {_sig3(n_bins)} bins need")
     scale = _joint_scale(taps, total_energy)
-    weights = np.conj(np.fft.fft(taps, n_bins, axis=1)) / scale
+    weights = np.fft.fft(taps, n_bins, axis=1)
+    np.conj(weights, out=weights)
+    weights /= scale  # in place, so the weights are the one array the budget counts
     weights.setflags(write=False)
     return weights
 

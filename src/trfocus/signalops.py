@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import AliasingError, ParameterError
+from .errors import AliasingError, DegenerateChannelError, ParameterError
 
 
 def gen_chirp(bandwidth_hz: float, duration_s: float, sample_rate_hz: float) -> np.ndarray:
@@ -23,12 +23,12 @@ def gen_chirp(bandwidth_hz: float, duration_s: float, sample_rate_hz: float) -> 
     degenerate zero-sweep path (kappa = 0): a constant tone of ones.
 
     Raises:
-        ParameterError: negative bandwidth, non-positive duration or
-            sample rate, or fewer than 2 samples requested.
+        ParameterError: negative or non-finite bandwidth, non-positive
+            duration or sample rate, or fewer than 2 samples requested.
         AliasingError: sample_rate_hz < bandwidth_hz.
     """
-    if bandwidth_hz < 0:
-        raise ParameterError("bandwidth_hz must be nonnegative")
+    if not 0 <= bandwidth_hz < math.inf:  # also refuses NaN
+        raise ParameterError(f"bandwidth_hz must be nonnegative and finite: {bandwidth_hz!r}")
     if not (duration_s > 0 and sample_rate_hz > 0 and math.isfinite(duration_s * sample_rate_hz)):
         raise ParameterError("duration_s and sample_rate_hz must be positive and finite")
     if sample_rate_hz < bandwidth_hz:
@@ -54,10 +54,17 @@ def inband_nmse_db(
     """NMSE (dB) between two tap sequences over the bins |f| <= B/2.
 
     Both sequences are zero-padded onto a common power-of-two grid; the
-    error and reference powers are summed over the in-band bins only.
+    error and reference powers are summed over the in-band bins only.  An
+    exact estimate gives -inf; a reference with no in-band power raises
+    DegenerateChannelError, and an empty or non-1-D sequence or a sample
+    rate that is not positive and finite ParameterError.
     """
     est = np.asarray(estimate, dtype=np.complex128)
     ref = np.asarray(reference, dtype=np.complex128)
+    if est.ndim != 1 or ref.ndim != 1 or min(est.size, ref.size) == 0:
+        raise ParameterError("estimate and reference must be non-empty 1-D sequences")
+    if not 0.0 < sample_rate_hz < math.inf:  # also refuses NaN
+        raise ParameterError(f"sample_rate_hz must be positive and finite: {sample_rate_hz!r}")
     n = 1 << int(math.ceil(math.log2(2 * max(est.size, ref.size))))
     spec_est = np.fft.fft(est, n)
     spec_ref = np.fft.fft(ref, n)
@@ -65,4 +72,6 @@ def inband_nmse_db(
     band = np.abs(freqs) <= bandwidth_hz / 2.0
     err = float(np.sum(np.abs(spec_est[band] - spec_ref[band]) ** 2))
     den = float(np.sum(np.abs(spec_ref[band]) ** 2))
-    return 10.0 * math.log10(err / den)
+    if den == 0.0:
+        raise DegenerateChannelError("reference has no in-band power")
+    return 10.0 * math.log10(err / den) if err > 0.0 else -math.inf

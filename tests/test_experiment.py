@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -624,13 +625,11 @@ class TestNoTrBaseline:
         experiment.reproduce("fig4", tmp_path / "fig4", seed=9, trials=3)
         baseline = config_from_preset("subthz", n_trials=3, seed=9, target_m=0.0)
         alone = tmp_path / "alone.csv"
+        profile = experiment._mean_profile(baseline, experiment._no_tr_power(baseline))
         experiment._write_csv(
             alone,
             "position_m,power_db",
-            baseline.grid.positions_m,
-            experiment._db_profile(
-                experiment._mean_profile(baseline, experiment._no_tr_power(baseline))
-            ),
+            zip(baseline.grid.positions_m.tolist(), experiment._db_profile(profile).tolist()),
         )
         assert (tmp_path / "fig4" / "fig4_no_tr_spatial.csv").read_bytes() == alone.read_bytes()
 
@@ -722,6 +721,38 @@ class TestWriteOutputs:
         ):
             text = (tmp_path / name).read_text(encoding="utf-8")
             assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_writer_peak_memory_holds_one_trial(self, tmp_path):
+        # 200 subthz-shaped trials of 639 time samples and 21 positions.
+        # The writer holds one trial's rows at a time, about 0.3 MiB;
+        # campaign-length CSV columns would take about 12 MiB.
+        config = config_from_preset("subthz", n_trials=200)
+        rng = np.random.default_rng(7)
+        outputs = [
+            experiment.TrialOutput(
+                trial=t,
+                peak_power_db=0.0,
+                temporal_fwhm_s=None,
+                spatial_fwhm_m=None,
+                focusing_gain_db=None,
+                isi_ratio_db=None,
+                sir_db=None,
+                spatial_power=rng.random(len(config.grid)),
+                temporal_power=rng.random(2 * config.cavity.cir_length - 1),
+                peak_time_s=np.float64(t / 7),  # a numpy scalar prints as a float
+            )
+            for t in range(config.n_trials)
+        ]
+        tracemalloc.start()
+        try:
+            write_outputs(config, outputs, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+        header, rows = read_csv(tmp_path / "spatial_trials.csv")
+        assert len(rows) == 200 * 21
+        assert rows[-1][0] == "199" and rows[-1][3] == repr(199 / 7)
 
 
 class TestReproduce:

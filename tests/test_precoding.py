@@ -1,5 +1,8 @@
 """Tests for TR filter construction and the MRT equivalence."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -83,6 +86,14 @@ class TestTrFilters:
             with pytest.raises(TrfocusError):
                 tr_filters(junk)
 
+    def test_energy_must_be_positive_and_finite(self):
+        # NaN or inf would scale the bank to NaN or zero.
+        taps = np.ones((2, 4), dtype=complex)
+        for energy in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            for fn in (tr_filters, lambda c, e: mrt_weights(c, 8, e)):
+                with pytest.raises(ParameterError, match="total_energy"):
+                    fn(taps, energy)
+
     def test_mismatched_lengths(self):
         rng = np.random.default_rng(3)
         cirs = [*random_cirs(rng, 1, 8), *random_cirs(rng, 1, 9)]
@@ -139,6 +150,32 @@ class TestMrtWeights:
         rng = np.random.default_rng(6)
         with pytest.raises(ParameterError):
             mrt_weights(random_cirs(rng, 1, 16), n_bins=8)
+
+    def test_bins_follow_the_integer_rule(self):
+        taps = np.ones((2, 4), dtype=complex)
+        for n_bins in (4.5, True, np.int64(3), "8", None):
+            with pytest.raises(ParameterError, match="n_bins must be an integer"):
+                mrt_weights(taps, n_bins)
+        assert mrt_weights(taps, np.int64(4)).shape == (2, 4)
+
+    def test_bins_over_budget_are_refused_before_the_fft(self):
+        taps = np.ones((2, 4), dtype=complex)
+        for n_bins in (2**40, 10**400):
+            with pytest.raises(ParameterError, match="MRT weights for 2 x .* over the 1024 MiB"):
+                mrt_weights(taps, n_bins)
+
+    def test_peak_memory_is_the_budgeted_weights(self):
+        # The budget counts 16 * n_tx * n_bins bytes, one complex array:
+        # 2 MiB here.
+        taps = random_cirs(np.random.default_rng(8), 2, 16)
+        tracemalloc.start()
+        try:
+            weights = mrt_weights(taps, 1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weights.nbytes == 2 << 20
+        assert peak < 1.25 * weights.nbytes, peak
 
 
 class TestEquivalenceResidual:

@@ -9,6 +9,7 @@ import pytest
 from oracles import convolve, wiener_deconvolve
 from trfocus.errors import (
     AliasingError,
+    DegenerateChannelError,
     DegenerateProbeError,
     IllConditionedError,
     ParameterError,
@@ -59,8 +60,9 @@ class TestGenChirp:
         assert np.sum(np.abs(spec[inband]) ** 2) / np.sum(np.abs(spec) ** 2) > 0.9
 
     def test_errors(self):
-        with pytest.raises(ParameterError):
-            gen_chirp(-1.0, 1.0, 10.0)
+        for bandwidth in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="bandwidth_hz"):
+                gen_chirp(bandwidth, 1.0, 10.0)
         for duration in (0.0, math.nan, math.inf):
             with pytest.raises(ParameterError):
                 gen_chirp(1.0, duration, 10.0)
@@ -70,6 +72,27 @@ class TestGenChirp:
             gen_chirp(10.0, 1.0, 5.0)
         with pytest.raises(ParameterError):
             gen_chirp(0.5, 1.0, 1.0)  # one sample
+
+
+class TestInbandNmse:
+    def test_exact_estimate_is_minus_inf(self):
+        ref = random_waveform(np.random.default_rng(4), 16)
+        assert inband_nmse_db(ref.copy(), ref, 0.5, 1.0) == -math.inf
+
+    def test_reference_without_inband_power(self):
+        with pytest.raises(DegenerateChannelError, match="in-band power"):
+            inband_nmse_db(np.ones(4), np.zeros(4), 0.5, 1.0)
+        with pytest.raises(DegenerateChannelError, match="in-band power"):
+            inband_nmse_db(np.zeros(4), np.zeros(4), 0.5, 1.0)
+
+    def test_errors(self):
+        taps = np.ones(4)
+        for est, ref in ((taps, []), ([], taps), (np.ones((2, 4)), np.ones((2, 4)))):
+            with pytest.raises(ParameterError, match="non-empty 1-D"):
+                inband_nmse_db(est, ref, 0.5, 1.0)
+        for rate in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="sample_rate_hz"):
+                inband_nmse_db(taps, 2 * taps, 0.5, rate)
 
 
 class TestConvolve:

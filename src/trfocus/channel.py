@@ -2,15 +2,17 @@
 
 The reverberant environment is modeled as a superposition of plane waves:
 each realization draws P paths with delay tau_p uniform on
-[0, max_delay_s], arrival direction d_p uniform on a spherical cap of
-half-angle ``aperture_half_angle_rad`` about the boresight (perpendicular
-to the grid axis), and circularly-symmetric Gaussian amplitude whose
-variance follows exp(-tau_p / decay_time_s), jointly normalized so the
-expected CIR energy per antenna is 1.
+[0, max_delay_s], arrival direction uniform on a spherical cap of
+half-angle ``aperture_half_angle_rad`` centred on a direction
+perpendicular to the grid axis, and circularly-symmetric Gaussian
+amplitude a_p whose variance follows exp(-tau_p / decay_time_s), jointly
+normalized so the expected CIR energy per antenna is 1.  Only the
+direction's cosine u_p to the grid axis enters the field, so a path is
+kept as (tau_p, u_p, a_p).
 
-A receiver displaced by x along the grid axis u sees each path at
+A receiver displaced by x along the grid axis sees each path at
 
-    tau_p(x) = tau_p + x * (u . d_p) / c
+    tau_p(x) = tau_p + x * u_p / c
 
 and the band-limited baseband impulse response sampled at
 f_s = oversample * B is
@@ -55,23 +57,13 @@ def _is_int(value, low: int = 0, end: int | None = None) -> bool:
     )
 
 
-def _unit3(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64).reshape(3)
-    norm = float(np.linalg.norm(arr))
-    if not math.isclose(norm, 1.0, rel_tol=0.0, abs_tol=1e-12):
-        raise ParameterError("direction vectors must be unit-norm")
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
-
-
 class PathSet(NamedTuple):
-    """A channel realization of P paths, as draw_paths returns it: delays
-    in [0, max_delay_s] of shape (P,), unit-norm arrival directions of
-    shape (P, 3) and complex amplitudes of shape (P,)."""
+    """A channel realization of P paths, as draw_paths returns it, each of
+    shape (P,): delays in [0, max_delay_s], the cosines in [-1, 1] of the
+    arrival directions to the grid axis, and complex amplitudes."""
 
     delays_s: np.ndarray
-    directions: np.ndarray
+    axial_cos: np.ndarray
     amplitudes: np.ndarray
 
 
@@ -127,7 +119,6 @@ class RxGrid:
     """Receiver positions along a motorized linear axis."""
 
     positions_m: np.ndarray
-    axis: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
 
     def __post_init__(self):
         pos = np.asarray(self.positions_m, dtype=np.float64)
@@ -138,17 +129,9 @@ class RxGrid:
         pos = pos.copy()
         pos.setflags(write=False)
         object.__setattr__(self, "positions_m", pos)
-        object.__setattr__(self, "axis", _unit3(self.axis))
 
     def __len__(self) -> int:
         return self.positions_m.size
-
-    def boresight(self) -> np.ndarray:
-        """A deterministic unit vector perpendicular to the grid axis."""
-        seed = np.zeros(3)
-        seed[int(np.argmin(np.abs(self.axis)))] = 1.0
-        b = seed - np.dot(seed, self.axis) * self.axis
-        return b / np.linalg.norm(b)
 
 
 def _spectrum_length(cir_length: int) -> int:
@@ -274,16 +257,14 @@ class ChannelEnsemble:
         return self.cirs[:, rx]
 
 
-def draw_paths(
-    params: CavityParams,
-    rng,
-    boresight=None,
-) -> PathSet:
+def draw_paths(params: CavityParams, rng) -> PathSet:
     """Draw one path-set realization.
 
     Delays are uniform on [0, max_delay_s]; directions uniform on the
-    spherical cap of half-angle aperture_half_angle_rad about the
-    boresight; amplitudes CN(0, sigma_p^2) with sigma_p^2 following
+    spherical cap of half-angle aperture_half_angle_rad, at polar angle
+    theta and azimuth phi about the cap's centre, which is perpendicular
+    to the grid axis, so the axial cosine is -sin(theta) sin(phi);
+    amplitudes CN(0, sigma_p^2) with sigma_p^2 following
     exp(-tau_p / decay_time_s), normalized so E||h||^2 = 1 per antenna.
     """
     gen = np.random.default_rng(rng)
@@ -294,24 +275,13 @@ def draw_paths(
     cos_theta = gen.uniform(cos_cap, 1.0, n)
     phi = gen.uniform(0.0, 2.0 * math.pi, n)
     sin_theta = np.sqrt(np.maximum(1.0 - cos_theta**2, 0.0))
-
-    b = _unit3(boresight) if boresight is not None else np.array([0.0, 0.0, 1.0])
-    e1_seed = np.zeros(3)
-    e1_seed[int(np.argmin(np.abs(b)))] = 1.0
-    e1 = np.cross(b, e1_seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(b, e1)
-    directions = (
-        np.outer(sin_theta * np.cos(phi), e1)
-        + np.outer(sin_theta * np.sin(phi), e2)
-        + np.outer(cos_theta, b)
-    )
+    axial_cos = -(sin_theta * np.sin(phi))
 
     gauss = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / math.sqrt(2.0)
     variances = np.exp(-delays / params.decay_time_s)
     variances /= params.oversample * variances.sum()
     amplitudes = gauss * np.sqrt(variances)
-    return PathSet(delays, directions, amplitudes)
+    return PathSet(delays, axial_cos, amplitudes)
 
 
 def _sinc_mix(coeff: np.ndarray, centers: np.ndarray, length: int, oversample: int) -> np.ndarray:
@@ -378,11 +348,10 @@ def _synthesize_taps(
     paths: PathSet,
     position_m: float,
     params: CavityParams,
-    axis: np.ndarray,
     length: int,
 ) -> np.ndarray:
     fs = params.sample_rate_hz
-    tau = paths.delays_s + (position_m / SPEED_OF_LIGHT_M_S) * (paths.directions @ axis)
+    tau = paths.delays_s + (position_m / SPEED_OF_LIGHT_M_S) * paths.axial_cos
     coeff = paths.amplitudes * np.exp(-2j * np.pi * params.carrier_hz * tau)
     return _sinc_mix(coeff, tau * fs, length, params.oversample)
 
@@ -406,12 +375,11 @@ def build_ensemble(
         raise ParameterError("a grid position lies 2**53 or more samples of delay from the origin")
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     gen = np.random.default_rng(rng)
-    boresight = grid.boresight()
     cirs = np.empty((n_tx, len(grid), length), dtype=np.complex128)
     for a in range(n_tx):
-        paths = draw_paths(params, gen, boresight)
+        paths = draw_paths(params, gen)
         for r, x in enumerate(grid.positions_m):
-            cirs[a, r] = _synthesize_taps(paths, float(x), params, grid.axis, length)
+            cirs[a, r] = _synthesize_taps(paths, float(x), params, length)
     return ChannelEnsemble(cirs=cirs, params=params, grid=grid, seed=seed)
 
 
@@ -423,7 +391,7 @@ def spatial_correlation_theory(
     """Field correlation of the diffuse model at lag delta_x_m.
 
     Arrival directions are uniform on the spherical cap of half-angle
-    theta_m about a boresight perpendicular to the lag, so the correlation
+    theta_m about a pole perpendicular to the lag, so the correlation
     is the cap average of J0(k dx sin(theta)).  Full sphere (theta_m = pi):
     sin(k dx)/(k dx) with k = 2 pi / lambda.  Other caps: composite
     Gauss-Legendre quadrature on theta in [0, theta_m], with panels in
@@ -487,10 +455,7 @@ def save_ensemble(ensemble: ChannelEnsemble, path, mode: str = "text") -> None:
         "cir_length": ensemble.cir_length,
         "seed": ensemble.seed,
         "params": asdict(ensemble.params),
-        "grid": {
-            "positions_m": [float(x) for x in ensemble.grid.positions_m],
-            "axis": [float(x) for x in ensemble.grid.axis],
-        },
+        "grid": {"positions_m": [float(x) for x in ensemble.grid.positions_m]},
     }
     header_line = json.dumps(header, sort_keys=True)
     if mode == "text":
@@ -537,11 +502,11 @@ def load_ensemble(path) -> ChannelEnsemble:
             raise ParameterError(f"{path} is not a {_FORMAT_NAME} file")
         try:
             params = CavityParams(**header["params"])
-            lists = [header["grid"]["positions_m"], header["grid"]["axis"]]
+            positions = header["grid"]["positions_m"]
             # np.array would read numeric strings and bools as floats.
-            if not all(isinstance(v, list) and set(map(type, v)) <= {int, float} for v in lists):
-                raise TypeError(f"grid {lists!r} must be lists of JSON numbers")
-            grid = RxGrid(*(np.array(v, dtype=np.float64) for v in lists))
+            if not (isinstance(positions, list) and set(map(type, positions)) <= {int, float}):
+                raise TypeError(f"grid positions_m {positions!r} must be a list of JSON numbers")
+            grid = RxGrid(np.array(positions, dtype=np.float64))
             shape = (header["n_tx"], header["n_rx"], header["cir_length"])
             mode, seed = header["mode"], header["seed"]
             if not all(type(n) is int for n in shape):

@@ -16,6 +16,7 @@ from .errors import ConfigError, TrfocusError
 from .experiment import (
     FIGURE_IDS,
     PRESETS,
+    _GRID_BOUNDS,
     ScenarioConfig,
     config_from_preset,
     reproduce,
@@ -44,9 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--nt", dest="n_tx", type=int, help="number of Tx antennas")
     run_p.add_argument("--trials", dest="n_trials", type=int, help="number of Monte-Carlo trials")
     run_p.add_argument("--seed", type=int, help="root seed")
-    run_p.add_argument("--grid-start", type=float, help="first grid position (m)")
-    run_p.add_argument("--grid-stop", type=float, help="last grid position (m)")
-    run_p.add_argument("--grid-step", type=float, help="grid step (m)")
+    run_p.add_argument("--grid-start", dest="start_m", type=float, help="first grid position (m)")
+    run_p.add_argument("--grid-stop", dest="stop_m", type=float, help="last grid position (m)")
+    run_p.add_argument("--grid-step", dest="step_m", type=float, help="grid step (m)")
     run_p.add_argument(
         "--target", dest="target_m", type=float, help="focusing target position (m)"
     )
@@ -102,11 +103,11 @@ def _config_from_args(args) -> ScenarioConfig:
     del flags["command"]
     path = flags.pop("config", None)
     values = _read_config_file(path) if path else {}
-    grid = [flags.pop(key, None) for key in ("grid_start", "grid_stop", "grid_step")]
+    grid = [flags.pop(key, None) for key in _GRID_BOUNDS]
     if any(v is not None for v in grid):
         if any(v is None for v in grid):
             raise ConfigError("--grid-start/--grid-stop/--grid-step go together")
-        values["grid"] = dict(zip(("start_m", "stop_m", "step_m"), grid))
+        values["grid"] = dict(zip(_GRID_BOUNDS, grid))
     if flags.pop("sounding_noiseless"):
         flags["sounding_snr_db"] = None
     values.update(flags)

@@ -406,8 +406,9 @@ class TrialOutput:
     peak_time_s: float
 
 
-# The TrialOutput fields each trials.json row holds, with the config echo.
-_ROW_FIELDS = ("trial", "peak_power_db", "temporal_fwhm_s", "spatial_fwhm_m",
+# The TrialOutput fields each trials.json row holds, with the trial index
+# and the config echo.
+_ROW_FIELDS = ("peak_power_db", "temporal_fwhm_s", "spatial_fwhm_m",
                "focusing_gain_db", "isi_ratio_db", "sir_db")
 
 
@@ -697,7 +698,10 @@ def write_outputs(config: ScenarioConfig, outputs: list[TrialOutput], outdir) ->
         "nt": config.n_tx,
         "seed": config.seed,
     }
-    records = [{**{name: getattr(o, name) for name in _ROW_FIELDS}, **echo} for o in outputs]
+    records = [
+        {"trial": int(o.trial), **{name: getattr(o, name) for name in _ROW_FIELDS}, **echo}
+        for o in outputs
+    ]
     _write_json(out / "trials.json", _strict_json(records))
 
     # A trial's SIR is the mean over its users; None where it is dropped.

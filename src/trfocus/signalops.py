@@ -56,8 +56,9 @@ def inband_nmse_db(
     Both sequences are zero-padded onto a common power-of-two grid; the
     error and reference powers are summed over the in-band bins only.  An
     exact estimate gives -inf; a reference with no in-band power raises
-    DegenerateChannelError, and an empty or non-1-D sequence or a sample
-    rate that is not positive and finite ParameterError.
+    DegenerateChannelError, and an empty or non-1-D sequence, a NaN or
+    negative bandwidth or a sample rate that is not positive and finite
+    ParameterError.  Bandwidth 0 keeps the DC bin and +inf every bin.
     """
     est = np.asarray(estimate, dtype=np.complex128)
     ref = np.asarray(reference, dtype=np.complex128)
@@ -65,6 +66,8 @@ def inband_nmse_db(
         raise ParameterError("estimate and reference must be non-empty 1-D sequences")
     if not 0.0 < sample_rate_hz < math.inf:  # also refuses NaN
         raise ParameterError(f"sample_rate_hz must be positive and finite: {sample_rate_hz!r}")
+    if not bandwidth_hz >= 0.0:  # also refuses NaN
+        raise ParameterError(f"bandwidth_hz must be >= 0: {bandwidth_hz!r}")
     n = 1 << int(math.ceil(math.log2(2 * max(est.size, ref.size))))
     spec_est = np.fft.fft(est, n)
     spec_ref = np.fft.fft(ref, n)

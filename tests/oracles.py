@@ -65,12 +65,12 @@ def wiener_deconvolve(
     return est[:cir_length]
 
 
-def naive_taps(paths, position_m, params, axis, length):
+def naive_taps(paths, position_m, params, length):
     """Direct double-loop evaluation of the plane-wave synthesis formula."""
     fs = params.sample_rate_hz
     h = np.zeros(length, dtype=complex)
     for p in range(len(paths.delays_s)):
-        tau = paths.delays_s[p] + position_m * float(paths.directions[p] @ axis) / C
+        tau = paths.delays_s[p] + position_m * float(paths.axial_cos[p]) / C
         rot = paths.amplitudes[p] * np.exp(-2j * np.pi * params.carrier_hz * tau)
         for n in range(length):
             h[n] += rot * np.sinc(params.bandwidth_hz * (n / fs - tau))

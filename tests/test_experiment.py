@@ -1,5 +1,6 @@
 """Tests for scenario configuration, sounding and the campaign runner."""
 
+import dataclasses
 import errno
 import json
 import math
@@ -721,6 +722,20 @@ class TestWriteOutputs:
         ):
             text = (tmp_path / name).read_text(encoding="utf-8")
             assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_numpy_integer_trial_writes_the_same_files(self, tmp_path):
+        # The trial index is written as a Python int in trials.json, as in
+        # the CSV rows, so a numpy integer index is no JSON error.
+        config = config_from_preset(
+            "subthz", grid=RxGrid(np.array([-0.0003, 0.0, 0.0003])), target_m=0.0
+        )
+        (output,) = run_trials(config)
+        assert type(output.trial) is int
+        output_np = dataclasses.replace(output, trial=np.int64(0))
+        write_outputs(config, [output], tmp_path / "int")
+        write_outputs(config, [output_np], tmp_path / "int64")
+        files = tree_bytes(tmp_path / "int")
+        assert "trials.json" in files and tree_bytes(tmp_path / "int64") == files
 
     def test_writer_peak_memory_holds_one_trial(self, tmp_path):
         # 200 subthz-shaped trials of 639 time samples and 21 positions.

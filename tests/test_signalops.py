@@ -93,6 +93,14 @@ class TestInbandNmse:
         for rate in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ParameterError, match="sample_rate_hz"):
                 inband_nmse_db(taps, 2 * taps, 0.5, rate)
+        # A NaN or negative bandwidth is the caller's error, not an empty
+        # band; 0 keeps the DC bin and +inf every bin.
+        for bandwidth in (math.nan, -1.0):
+            with pytest.raises(ParameterError, match="bandwidth_hz"):
+                inband_nmse_db(taps, 2 * taps, bandwidth, 1.0)
+        for bandwidth in (0.0, math.inf):
+            nmse = inband_nmse_db(taps, 2 * taps, bandwidth, 1.0)
+            assert nmse == pytest.approx(10.0 * math.log10(0.25))
 
 
 class TestConvolve:

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidTargetError, ParameterError
+from .errors import DimensionMismatchError, InvalidTargetError, ParameterError, TrfocusError
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -45,6 +45,10 @@ _TAIL_GUARD_OVERSAMPLES = 8
 # 16 bytes each, for the CIRs and their cached spectrum.
 ENSEMBLE_BUDGET_BYTES = 1 << 30
 
+# Bytes a path takes in a path draw: 95 at the tracemalloc peak of a
+# draw_paths of 20 000 paths, rounded up.
+_PATH_BYTES = 96
+
 
 def _is_int(value, low: int = 0, end: int | None = None) -> bool:
     """True for an int or numpy integer in [low, end), not a bool: numpy
@@ -55,6 +59,42 @@ def _is_int(value, low: int = 0, end: int | None = None) -> bool:
         and low <= value
         and (end is None or value < end)
     )
+
+
+def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+                ends: str = "()", error: type[TrfocusError] = ParameterError) -> None:
+    """Raise error unless value is a Python or numpy int or float, not a bool,
+    that float() converts into the interval from low to high, each end open or
+    closed as ends ("()", "[)", "(]" or "[]") says.  It is never converted."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past float range
+        x = math.nan
+    if not (low < x < high or x == low and ends[0] == "[" or x == high and ends[1] == "]"):
+        raise error(f"{name} must be a real in {ends[0]}{low:g}, {high:g}{ends[1]}: {_sig3(value)}")
+
+
+def _finite_array(values, name: str, kinds: str = "iufc") -> np.ndarray:
+    """np.asarray(values); ParameterError unless its dtype kind is in kinds
+    (ints, floats or complex numbers by default; never bools, strings or
+    objects) and every value is finite, DimensionMismatchError if ragged."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"{name} must not be a ragged nesting") from exc
+    if arr.dtype.kind not in kinds or not np.isfinite(arr).all():
+        raise ParameterError(f"{name} must be finite numbers of a kind in {kinds!r}: {arr.dtype}")
+    return arr
+
+
+def _generator(rng) -> np.random.Generator:
+    """np.random.default_rng(rng), for None, an integer >= 0, a
+    SeedSequence or a Generator; a seed it refuses raises ParameterError."""
+    try:
+        return np.random.default_rng(rng)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"rng {rng!r} is not a seed: {exc}") from exc
 
 
 class PathSet(NamedTuple):
@@ -81,23 +121,19 @@ class CavityParams:
 
     def __post_init__(self):
         for name in ("carrier_hz", "bandwidth_hz", "decay_time_s", "max_delay_s"):
+            _check_real(name, getattr(self, name), 0.0)
+        _check_real("aperture_half_angle_rad", self.aperture_half_angle_rad, 0.0, math.pi, "(]")
+        for name in ("n_paths", "oversample"):  # numpy sizes are int64
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ParameterError(f"{name} must be positive and finite")
-        if not 0 < self.aperture_half_angle_rad <= math.pi:
-            raise ParameterError("aperture_half_angle_rad must lie in (0, pi]")
-        for name in ("n_paths", "oversample"):
-            value = getattr(self, name)
-            if not _is_int(value, low=1):
-                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
-        # Synthesis takes each delay in samples and its carrier phase.
-        rate = max(self.sample_rate_hz, 2.0 * math.pi * self.carrier_hz)
-        if not math.isfinite(self.max_delay_s * rate):
-            raise ParameterError("max_delay_s times the sample rate or 2 pi f_c must be finite")
-        if self.bandwidth_hz >= 2.0 * self.carrier_hz:  # the band f_c +- B/2 is above 0 Hz
-            raise ParameterError(
-                f"bandwidth_hz must be below 2 * carrier_hz: {self.bandwidth_hz:g} Hz"
-            )
+            if not _is_int(value, low=1, end=2**63):
+                raise ParameterError(f"{name} must be an integer in [1, 2**63): {_sig3(value)}")
+        # Synthesis takes each delay in samples and its carrier phase.  As
+        # Python floats the products overflow to inf without a warning.
+        b, fc = float(self.bandwidth_hz), float(self.carrier_hz)
+        rate = max(self.oversample * b, 2.0 * math.pi * fc)
+        _check_real("max_delay_s times the sample rate or 2 pi f_c", float(self.max_delay_s) * rate)
+        # The band f_c +- B/2 lies above 0 Hz.
+        _check_real("bandwidth_hz (below 2 * carrier_hz)", self.bandwidth_hz, 0.0, 2.0 * fc)
 
     @property
     def sample_rate_hz(self) -> float:
@@ -121,12 +157,11 @@ class RxGrid:
     positions_m: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions_m, dtype=np.float64)
+        pos = _finite_array(self.positions_m, "positions_m", "iuf").astype(np.float64)  # a copy
         if pos.ndim != 1 or pos.size == 0:
             raise ParameterError("grid needs at least one position")
         if pos.size > 1 and not np.all(np.diff(pos) > 0):
             raise ParameterError("grid positions must be strictly increasing")
-        pos = pos.copy()
         pos.setflags(write=False)
         object.__setattr__(self, "positions_m", pos)
 
@@ -150,13 +185,15 @@ def _spectrum_length(cir_length: int) -> int:
     return best
 
 
-def _sig3(n: int, rounding: str = "ROUND_HALF_EVEN") -> str:
-    """n to three significant digits under a decimal rounding mode.
-    Decimal formats an int past float range too, such as 10**400 antennas
-    or the size of their grid."""
+def _sig3(n, rounding: str = "ROUND_HALF_EVEN") -> str:
+    """An int n to three significant digits under a decimal rounding mode,
+    and any other n as its repr.  Decimal formats an int past float range
+    too, such as 10**400 antennas or the size of their grid."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        return repr(n)
     from decimal import Context  # 1-3 ms and 0.3 MiB of import, paid on error paths only
 
-    return f"{Context(prec=3, rounding=rounding).create_decimal(n):.3g}"
+    return f"{Context(prec=3, rounding=rounding).create_decimal(int(n)):.3g}"
 
 
 def check_budget(n_bytes: int, what: Callable[[], str]) -> None:
@@ -175,11 +212,11 @@ def check_budget(n_bytes: int, what: Callable[[], str]) -> None:
 
 
 def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
-    """Raise ParameterError when a dimension is below 1 or the CIRs and the
-    spectrum of an ensemble would exceed ENSEMBLE_BUDGET_BYTES."""
-    if min(n_tx, n_rx, cir_length) < 1:
+    """Raise ParameterError when a dimension is not an integer >= 1 or the
+    CIRs and the spectrum of an ensemble would exceed ENSEMBLE_BUDGET_BYTES."""
+    if not all(_is_int(n, low=1) for n in (n_tx, n_rx, cir_length)):
         dims = ", ".join(map(_sig3, (n_tx, n_rx, cir_length)))
-        raise ParameterError(f"n_tx, n_rx and cir_length must be >= 1: ({dims})")
+        raise ParameterError(f"n_tx, n_rx and cir_length must be integers >= 1: ({dims})")
 
     def what() -> str:
         dims = f"{_sig3(n_tx)} x {_sig3(n_rx)} CIRs of {_sig3(cir_length)} taps"
@@ -214,16 +251,14 @@ class ChannelEnsemble:
             raise ParameterError(f"seed {self.seed!r} must be an integer >= 0 or None")
         if self.seed is not None:
             object.__setattr__(self, "seed", int(self.seed))  # JSON-writable
-        arr = np.asarray(self.cirs, dtype=np.complex128)
+        arr = _finite_array(self.cirs, "CIR taps")
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != len(self.grid):
             raise DimensionMismatchError(
                 f"cirs must have shape (n_tx >= 1, n_rx = {len(self.grid)}, L), got {arr.shape}"
             )
         if arr.shape[2] / self.params.sample_rate_hz < self.params.max_delay_s:
             raise ParameterError("CIR span shorter than max_delay_s")
-        if not np.isfinite(arr).all():
-            raise ParameterError("CIR taps must be finite")
-        arr = arr.copy()
+        arr = arr.astype(np.complex128)  # a copy
         arr.setflags(write=False)
         object.__setattr__(self, "cirs", arr)
         nfft = _spectrum_length(arr.shape[2])
@@ -266,9 +301,11 @@ def draw_paths(params: CavityParams, rng) -> PathSet:
     to the grid axis, so the axial cosine is -sin(theta) sin(phi);
     amplitudes CN(0, sigma_p^2) with sigma_p^2 following
     exp(-tau_p / decay_time_s), normalized so E||h||^2 = 1 per antenna.
+    A draw over ENSEMBLE_BUDGET_BYTES raises ParameterError.
     """
-    gen = np.random.default_rng(rng)
+    gen = _generator(rng)
     n = params.n_paths
+    check_budget(_PATH_BYTES * n, lambda: f"drawing {_sig3(n)} paths needs")
     delays = gen.uniform(0.0, params.max_delay_s, n)
 
     cos_cap = math.cos(params.aperture_half_angle_rad)
@@ -366,15 +403,25 @@ def build_ensemble(
 
     One independent path set is drawn per Tx antenna, sequentially from
     the given seed, so a fixed seed reproduces the ensemble bit-exactly.
+    An ensemble, or a synthesis buffer, over ENSEMBLE_BUDGET_BYTES raises
+    ParameterError before anything is drawn.
     """
     length = params.cir_length
     check_ensemble_size(n_tx, len(grid), length)
     # _sinc_mix rounds each path's delay in samples to an int64 tap index.
-    reach = float(np.max(np.abs(grid.positions_m))) * params.sample_rate_hz
-    if not reach / SPEED_OF_LIGHT_M_S < 2.0**53:
-        raise ParameterError("a grid position lies 2**53 or more samples of delay from the origin")
+    reach = float(np.max(np.abs(grid.positions_m))) * params.sample_rate_hz / SPEED_OF_LIGHT_M_S
+    _check_real("the largest grid delay in samples (below 2**53)", reach, 0.0, 2.0**53, "[)")
+    # Synthesis holds one path set and _sinc_mix's (P, ceil(L / oversample))
+    # float buffer with its per-path factors of every branch.  By
+    # tracemalloc they take about 80 bytes per path, 8 per path and buffer
+    # row and 65 per path and branch; the count rounds each up.
+    n, over = params.n_paths, params.oversample
+    check_budget(
+        n * (_PATH_BYTES + 8 * -(-length // over) + 72 * over),
+        lambda: f"synthesizing CIRs from {_sig3(n)} paths needs",
+    )
+    gen = _generator(rng)
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
-    gen = np.random.default_rng(rng)
     cirs = np.empty((n_tx, len(grid), length), dtype=np.complex128)
     for a in range(n_tx):
         paths = draw_paths(params, gen)
@@ -397,17 +444,15 @@ def spatial_correlation_theory(
     Gauss-Legendre quadrature on theta in [0, theta_m], with panels in
     which k dx sin(theta) moves by at most 32 rad.  Narrow cones approach
     the paraxial 2 J1(v)/v, v = k dx sin(theta_m); a hemisphere gives
-    sin(k dx)/(k dx) again.  A non-finite delta_x_m, carrier_hz or k dx,
-    or a quadrature over ENSEMBLE_BUDGET_BYTES, raises ParameterError.
+    sin(k dx)/(k dx) again.  An argument or k dx out of its range, or a
+    quadrature over ENSEMBLE_BUDGET_BYTES, raises ParameterError.
     """
-    if not 0 < carrier_hz < math.inf:  # also refuses NaN
-        raise ParameterError(f"carrier_hz must be positive and finite: {carrier_hz!r}")
-    if not 0 < aperture_half_angle_rad <= math.pi:
-        raise ParameterError("aperture_half_angle_rad must lie in (0, pi]")
-    k = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S
+    _check_real("delta_x_m", delta_x_m)
+    _check_real("carrier_hz", carrier_hz, 0.0)
+    _check_real("aperture_half_angle_rad", aperture_half_angle_rad, 0.0, math.pi, "(]")
+    k = 2.0 * math.pi * float(carrier_hz) / SPEED_OF_LIGHT_M_S
     z = k * abs(float(delta_x_m))
-    if not math.isfinite(z):
-        raise ParameterError(f"k |delta_x_m| must be finite: delta_x_m={delta_x_m!r}, k={k!r}")
+    _check_real("k |delta_x_m|", z)
     if z == 0.0:
         return 1.0
     theta_m = aperture_half_angle_rad
@@ -444,8 +489,8 @@ def save_ensemble(ensemble: ChannelEnsemble, path, mode: str = "text") -> None:
     interleaved re/im values; reloads bit-exactly.  mode="binary": raw
     little-endian complex128 in C order after the header line.
     """
-    if mode not in ("text", "binary"):
-        raise ParameterError("mode must be 'text' or 'binary'")
+    if not (isinstance(mode, str) and mode in ("text", "binary")):
+        raise ParameterError(f"mode must be 'text' or 'binary', got {mode!r}")
     header = {
         "format": _FORMAT_NAME,
         "version": 1,

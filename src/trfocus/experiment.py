@@ -29,6 +29,8 @@ from .channel import (
     CavityParams,
     ChannelEnsemble,
     RxGrid,
+    _check_real,
+    _generator,
     _spectrum_length,
     build_ensemble,
     check_budget,
@@ -60,7 +62,7 @@ MAX_WORKERS = 64
 
 # Largest |sounding SNR| in dB, so that 10 ** (SNR / 10) stays finite.
 MAX_SNR_DB = 300.0
-_SNR_RANGE = "sounding_snr_db must lie in [-300, 300] dB; None means noiseless"
+_SNR_NAME = "sounding_snr_db (None means noiseless)"
 
 # Delay-window and decay sizing shared by all presets, in units of 1/B:
 # the window holds 72 resolvable taps and the power decay constant 64.
@@ -81,8 +83,7 @@ class Preset:
 
     def cavity(self, bandwidth_hz: float | None = None) -> CavityParams:
         b = bandwidth_hz if bandwidth_hz is not None else self.bandwidth_hz
-        if not b > 0:  # the spans below divide by it
-            raise ConfigError(f"bandwidth_hz must be positive, got {b}")
+        _check_real("bandwidth_hz", b, 0.0, error=ConfigError)  # the spans below divide by it
         return CavityParams(
             carrier_hz=self.carrier_hz,
             bandwidth_hz=b,
@@ -130,13 +131,10 @@ PRESETS: dict[str, Preset] = {
 
 
 def _grid_positions(start_m: float, stop_m: float, step_m: float) -> np.ndarray:
-    if not (math.isfinite(start_m) and math.isfinite(stop_m)):
-        raise ConfigError("grid start and stop must be finite")
-    if not (math.isfinite(step_m) and step_m > 0):
-        raise ConfigError("grid step must be positive and finite")
+    _check_real("grid step_m", step_m, 0.0, error=ConfigError)
     if stop_m < start_m:
         raise ConfigError("grid stop must not precede start")
-    steps = (stop_m - start_m) / step_m + 0.5  # inf once stop - start overflows
+    steps = (stop_m - start_m) / step_m + 0.5  # inf or NaN unless stop - start is finite
     # Each point holds at least one tap and one spectrum bin of 16 bytes.
     if not steps < ENSEMBLE_BUDGET_BYTES // 32:
         raise ConfigError(f"a grid of {steps:.3g} points exceeds the ensemble memory budget")
@@ -151,13 +149,14 @@ def _deconv_grid(n_received: int) -> int:
 def _check_sounding_size(
     n_tx: int, cir_length: int, chirp_duration_s: float, sample_rate_hz: float
 ) -> None:
-    """Raise ParameterError when the chirp duration is not positive and
-    finite or sounding n_tx antennas with it would exceed
-    ENSEMBLE_BUDGET_BYTES.  At its peak sound_cirs holds at most four
-    complex arrays of (n_tx + 1) x nfft values."""
-    if not (chirp_duration_s > 0 and math.isfinite(chirp_duration_s * sample_rate_hz)):
-        raise ParameterError(f"chirp_duration_s must be positive and finite: {chirp_duration_s}")
-    n_record = round(chirp_duration_s * sample_rate_hz) + cir_length - 1
+    """Raise ParameterError when the chirp duration or its sample count is
+    not a real number in (0, inf) or sounding n_tx antennas with it would
+    exceed ENSEMBLE_BUDGET_BYTES.  At its peak sound_cirs holds at most
+    four complex arrays of (n_tx + 1) x nfft values."""
+    _check_real("chirp_duration_s", chirp_duration_s, 0.0)
+    samples = float(chirp_duration_s) * float(sample_rate_hz)  # inf, not a warning, on overflow
+    _check_real("chirp_duration_s times the sample rate", samples)
+    n_record = round(samples) + cir_length - 1
     check_budget(
         64 * (n_tx + 1) * _deconv_grid(max(n_record, 1)),
         lambda: f"sounding {n_tx} antennas with a {chirp_duration_s:g} s chirp needs",
@@ -180,9 +179,8 @@ def thread_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-# The Python types of ScenarioConfig's annotations; _checked refuses bools.
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-                "RxGrid": RxGrid, "CavityParams": CavityParams}
+# The Python types of ScenarioConfig's non-float annotations; _checked refuses bools.
+_FIELD_TYPES = {"int": numbers.Integral, "str": str, "RxGrid": RxGrid, "CavityParams": CavityParams}
 
 
 def _checked(name: str, value, kind: str):
@@ -195,20 +193,18 @@ def _checked(name: str, value, kind: str):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
         return tuple(_checked(name, v, "float") for v in value)
+    if kind == "float":
+        _check_real(name, value, error=ConfigError)
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
         raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
-    if kind == "float":
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{name} lies beyond float range") from None
     return int(value) if kind == "int" else value
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one seeded campaign needs; a field whose value does not
-    have its annotation's type raises ConfigError."""
+    have its annotation's type (a finite real for a float) raises ConfigError."""
 
     cavity: CavityParams
     grid: RxGrid
@@ -239,10 +235,9 @@ class ScenarioConfig:
                 self.n_tx, self.cavity.cir_length, self.chirp_duration_s,
                 self.cavity.sample_rate_hz,
             )
-        if self.sounding_snr_db is not None and not abs(self.sounding_snr_db) <= MAX_SNR_DB:
-            raise ConfigError(_SNR_RANGE)
-        if not 1e-300 <= self.tx_energy <= 1e300:
-            raise ConfigError(f"tx_energy must lie in [1e-300, 1e300], got {self.tx_energy}")
+        if self.sounding_snr_db is not None:
+            _check_real(_SNR_NAME, self.sounding_snr_db, -MAX_SNR_DB, MAX_SNR_DB, "[]", ConfigError)
+        _check_real("tx_energy", self.tx_energy, 1e-300, 1e300, "[]", ConfigError)
         if self.symbol_period_samples is not None and self.symbol_period_samples < 1:
             raise ConfigError("symbol_period_samples must be >= 1")
         self.target_index  # validates target on grid
@@ -345,8 +340,9 @@ def sound_cirs(
     antenna to rounding; the noise is drawn in the same order (per
     antenna, real then imaginary).
     """
-    if sounding_snr_db is not None and not abs(sounding_snr_db) <= MAX_SNR_DB:
-        raise ParameterError(_SNR_RANGE)
+    if sounding_snr_db is not None:
+        _check_real(_SNR_NAME, sounding_snr_db, -MAX_SNR_DB, MAX_SNR_DB, "[]")
+    gen = _generator(rng)
     ensemble.check_rx(rx_index)
     params = ensemble.params
     _check_sounding_size(
@@ -366,7 +362,7 @@ def sound_cirs(
     else:
         record_power = np.sum(np.abs(spec_rx) ** 2, axis=1, keepdims=True) / (nfft * n_record)
         sigma2 = record_power * 10.0 ** (-sounding_snr_db / 10.0)
-        noise = np.random.default_rng(rng).standard_normal((ensemble.n_tx, 2, n_record))
+        noise = gen.standard_normal((ensemble.n_tx, 2, n_record))
         spec_rx += np.fft.fft(
             np.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1]), nfft, axis=1
         )

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelEnsemble, check_budget
+from .channel import ChannelEnsemble, _finite_array, check_budget
 from .errors import DimensionMismatchError, InvalidTargetError
 
 
@@ -57,11 +57,12 @@ class TrdmaResult(NamedTuple):
 
 
 def _check_bank(bank, ensemble: ChannelEnsemble) -> None:
-    """A bank is an (n_tx, L) array, as tr_filters returns."""
+    """A bank is a finite numeric (n_tx, L) array, as tr_filters returns."""
     shape = (ensemble.n_tx, ensemble.cir_length)
     if not isinstance(bank, np.ndarray) or bank.shape != shape:
         got = getattr(bank, "shape", type(bank).__name__)
         raise DimensionMismatchError(f"a TR bank must be an {shape} array, got {got}")
+    _finite_array(bank, "a TR bank")
 
 
 def _bank_through_channel(bank: np.ndarray, spectrum_fm: np.ndarray) -> np.ndarray:
@@ -110,8 +111,11 @@ def trdma_link(
     A result over ENSEMBLE_BUDGET_BYTES raises ParameterError before
     anything is propagated.
     """
-    n_users = len(banks)
-    if n_users != len(targets):
+    try:
+        n_users, n_targets = len(banks), len(targets)
+    except TypeError as exc:
+        raise DimensionMismatchError("banks and targets must be sequences") from exc
+    if n_users != n_targets:
         raise DimensionMismatchError("one target index per bank required")
     for t in targets:
         ensemble.check_rx(t)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _is_int
+from .channel import _check_real, _finite_array, _is_int
 from .errors import DegenerateBackgroundError, EdgePeakError, ParameterError
 from .link import SpaceTimeField, TrdmaResult
 
@@ -58,11 +58,10 @@ def _half_power_width(power: np.ndarray, coords: np.ndarray) -> float:
 
 def temporal_fwhm(y, sample_rate_hz: float) -> float:
     """Half-power width, in seconds, of |y[n]|^2 around its global peak."""
-    samples = np.asarray(y, dtype=np.complex128)
+    samples = _finite_array(y, "y").astype(np.complex128, copy=False)
     if samples.ndim != 1 or samples.size < 3:
         raise ParameterError("need a 1-D record of at least 3 samples")
-    if not 0.0 < sample_rate_hz < math.inf:  # also refuses NaN
-        raise ParameterError(f"sample_rate_hz must be positive and finite: {sample_rate_hz!r}")
+    _check_real("sample_rate_hz", sample_rate_hz, 0.0)
     power = np.abs(samples) ** 2
     return _half_power_width(power, np.arange(samples.size) / sample_rate_hz)
 

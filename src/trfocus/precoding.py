@@ -9,32 +9,22 @@ a pure delay of L-1 samples.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .channel import _is_int, _sig3, check_budget
+from .channel import _check_real, _finite_array, _is_int, _sig3, check_budget
 from .errors import DegenerateChannelError, DimensionMismatchError, ParameterError
 
 
 def _stack_cirs(cirs) -> np.ndarray:
     """The per-antenna CIRs as a finite, non-empty (n_tx, L) complex array."""
-    try:
-        taps = np.asarray(cirs)
-    except ValueError as exc:  # a ragged nesting
-        raise DimensionMismatchError("CIRs must share one tap count") from exc
-    if taps.dtype.kind not in "iufc":
-        raise ParameterError(f"CIR taps must be numbers, not {taps.dtype}")
+    taps = _finite_array(cirs, "CIR taps")
     if taps.ndim != 2 or taps.size == 0:
         raise DimensionMismatchError(f"CIRs must form a non-empty (n_tx, L) array: {taps.shape}")
-    if not np.isfinite(taps).all():
-        raise ParameterError("CIR taps must be finite")
     return taps.astype(np.complex128, copy=False)
 
 
 def _joint_scale(taps: np.ndarray, total_energy: float) -> float:
-    if not 0 < total_energy < math.inf:  # also refuses NaN
-        raise ParameterError(f"total_energy must be positive and finite: {total_energy!r}")
+    _check_real("total_energy", total_energy, 0.0)
     total = float(np.sum(np.abs(taps) ** 2))
     if total == 0.0:
         raise DegenerateChannelError("all CIRs are zero")

@@ -11,7 +11,11 @@ import math
 
 import numpy as np
 
+from .channel import _check_real, _finite_array, _sig3, check_budget
 from .errors import AliasingError, DegenerateChannelError, ParameterError
+
+# Bytes a chirp sample takes at the tracemalloc peak of gen_chirp.
+_CHIRP_SAMPLE_BYTES = 48
 
 
 def gen_chirp(bandwidth_hz: float, duration_s: float, sample_rate_hz: float) -> np.ndarray:
@@ -23,14 +27,15 @@ def gen_chirp(bandwidth_hz: float, duration_s: float, sample_rate_hz: float) -> 
     degenerate zero-sweep path (kappa = 0): a constant tone of ones.
 
     Raises:
-        ParameterError: negative or non-finite bandwidth, non-positive
-            duration or sample rate, or fewer than 2 samples requested.
+        ParameterError: a bandwidth outside [0, inf), a duration, sample
+            rate or sample count outside (0, inf), fewer than 2 samples,
+            or samples over ENSEMBLE_BUDGET_BYTES.
         AliasingError: sample_rate_hz < bandwidth_hz.
     """
-    if not 0 <= bandwidth_hz < math.inf:  # also refuses NaN
-        raise ParameterError(f"bandwidth_hz must be nonnegative and finite: {bandwidth_hz!r}")
-    if not (duration_s > 0 and sample_rate_hz > 0 and math.isfinite(duration_s * sample_rate_hz)):
-        raise ParameterError("duration_s and sample_rate_hz must be positive and finite")
+    _check_real("bandwidth_hz", bandwidth_hz, 0.0, ends="[)")
+    _check_real("duration_s", duration_s, 0.0)
+    _check_real("sample_rate_hz", sample_rate_hz, 0.0)
+    _check_real("duration_s times sample_rate_hz", float(duration_s) * float(sample_rate_hz))
     if sample_rate_hz < bandwidth_hz:
         raise AliasingError(
             f"sample rate {sample_rate_hz:g} Hz cannot represent a "
@@ -39,6 +44,9 @@ def gen_chirp(bandwidth_hz: float, duration_s: float, sample_rate_hz: float) -> 
     n_samples = int(round(duration_s * sample_rate_hz))
     if n_samples < 2:
         raise ParameterError("chirp must span at least 2 samples")
+    check_budget(
+        _CHIRP_SAMPLE_BYTES * n_samples, lambda: f"a chirp of {_sig3(n_samples)} samples needs"
+    )
     t = np.arange(n_samples) / sample_rate_hz
     kappa = bandwidth_hz / duration_s
     phase = np.pi * kappa * (t - duration_s / 2.0) ** 2
@@ -56,18 +64,16 @@ def inband_nmse_db(
     Both sequences are zero-padded onto a common power-of-two grid; the
     error and reference powers are summed over the in-band bins only.  An
     exact estimate gives -inf; a reference with no in-band power raises
-    DegenerateChannelError, and an empty or non-1-D sequence, a NaN or
-    negative bandwidth or a sample rate that is not positive and finite
-    ParameterError.  Bandwidth 0 keeps the DC bin and +inf every bin.
+    DegenerateChannelError, and an empty or non-1-D sequence, a bandwidth
+    outside [0, inf] or a sample rate outside (0, inf) ParameterError.
+    Bandwidth 0 keeps the DC bin and +inf every bin.
     """
-    est = np.asarray(estimate, dtype=np.complex128)
-    ref = np.asarray(reference, dtype=np.complex128)
+    est = _finite_array(estimate, "estimate").astype(np.complex128, copy=False)
+    ref = _finite_array(reference, "reference").astype(np.complex128, copy=False)
     if est.ndim != 1 or ref.ndim != 1 or min(est.size, ref.size) == 0:
         raise ParameterError("estimate and reference must be non-empty 1-D sequences")
-    if not 0.0 < sample_rate_hz < math.inf:  # also refuses NaN
-        raise ParameterError(f"sample_rate_hz must be positive and finite: {sample_rate_hz!r}")
-    if not bandwidth_hz >= 0.0:  # also refuses NaN
-        raise ParameterError(f"bandwidth_hz must be >= 0: {bandwidth_hz!r}")
+    _check_real("sample_rate_hz", sample_rate_hz, 0.0)
+    _check_real("bandwidth_hz", bandwidth_hz, 0.0, math.inf, "[]")
     n = 1 << int(math.ceil(math.log2(2 * max(est.size, ref.size))))
     spec_est = np.fft.fft(est, n)
     spec_ref = np.fft.fft(ref, n)

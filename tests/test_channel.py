@@ -81,6 +81,10 @@ class TestValidation:
     def test_grid(self):
         with pytest.raises(ParameterError):
             RxGrid(np.array([0.0, 0.0, 1.0]))
+        # Non-finite, complex or non-numeric positions are refused at once.
+        for bad in ([0.0, math.inf], [math.nan], [0.0, 1j], ["0", "1"], [0.0, None]):
+            with pytest.raises(ParameterError, match="positions_m"):
+                RxGrid(bad)
 
     def test_ensemble_takes_n_tx_from_its_cirs(self):
         params, grid = small_params(max_delay_s=1e-9), RxGrid(np.array([0.0, 0.01]))
@@ -372,8 +376,8 @@ class TestSpatialCorrelationTheory:
 
     @pytest.mark.parametrize(
         "dx, fc, match",
-        [(math.nan, 1e9, "finite"), (math.inf, 1e9, "finite"), (0.01, math.nan, "carrier_hz"),
-         (0.01, math.inf, "carrier_hz"), (1e300, 1e300, "finite"), (1e12, 1e9, "budget")],
+        [(math.nan, 1e9, "delta_x_m"), (math.inf, 1e9, "delta_x_m"), (0.01, math.nan, "carrier_hz"),
+         (0.01, math.inf, "carrier_hz"), (1e300, 1e300, "delta_x_m"), (1e12, 1e9, "budget")],
         ids=["nan_dx", "inf_dx", "nan_fc", "inf_fc", "overflowing_k_dx", "huge_dx"],
     )
     def test_unsizable_inputs_raise_parameter_error(self, dx, fc, match):

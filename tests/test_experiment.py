@@ -164,7 +164,7 @@ class TestScenarioConfig:
         with pytest.raises(ParameterError, match=f"sounding 8 antennas .* {budget}"):
             sound_cirs(ens, 0, 1.0, 30.0, 0)
         for duration in (math.inf, math.nan, 1e308, 0.0):
-            with pytest.raises(ParameterError, match="positive and finite"):
+            with pytest.raises(ParameterError, match="chirp_duration_s"):
                 sound_cirs(ens, 0, duration, 30.0, 0)
 
     def test_size_checks_that_pass_format_nothing(self):
@@ -272,7 +272,7 @@ class TestSounding:
         ens = build_ensemble(config.cavity, config.grid, config.n_tx, 3)
         with pytest.raises(ParameterError, match="None means noiseless"):
             sound_cirs(ens, 1, 1e-6, snr_db, np.random.default_rng(0))
-        with pytest.raises(ConfigError, match=r"\[-300, 300\] dB"):
+        with pytest.raises(ConfigError, match="sounding_snr_db"):
             self.small_config(csi_mode="sounded", sounding_snr_db=snr_db)
 
     def test_snr_bounds_give_finite_estimates(self):

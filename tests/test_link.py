@@ -118,6 +118,17 @@ class TestFocusField:
             with pytest.raises(DimensionMismatchError):
                 trdma_link([bad], ens, [0], symbol_period_samples=8)
 
+    def test_non_finite_or_non_numeric_bank_raises_parameter_error(self):
+        # An all-NaN bank would give an all-NaN field.
+        ens = build_ensemble(rich_params(n_paths=50), RxGrid(np.array([0.0, 0.01])), 2, 6)
+        good = tr_filters(ens.cirs_at(0), 1.0)
+        for bad in (np.full(good.shape, np.nan), np.where(np.eye(*good.shape), np.inf, good),
+                    np.ones(good.shape, dtype=bool)):
+            with pytest.raises(ParameterError, match="TR bank"):
+                focus_field(bad, ens)
+            with pytest.raises(ParameterError, match="TR bank"):
+                trdma_link([good, bad], ens, [0, 1], symbol_period_samples=8)
+
     def test_background_at_least_10db_below_peak(self):
         # Nt = 8 and ~72 resolvable taps: off-peak background of the
         # target row sits well below the coherent peak.

@@ -98,6 +98,10 @@ class TestInbandNmse:
         for bandwidth in (math.nan, -1.0):
             with pytest.raises(ParameterError, match="bandwidth_hz"):
                 inband_nmse_db(taps, 2 * taps, bandwidth, 1.0)
+        # A NaN estimate would read as an exact one, -inf dB.
+        for est, ref in (([math.nan, 1.0], taps), (taps, [1.0, math.inf]), (["1"], taps)):
+            with pytest.raises(ParameterError, match="estimate|reference"):
+                inband_nmse_db(est, ref, 0.5, 1.0)
         for bandwidth in (0.0, math.inf):
             nmse = inband_nmse_db(taps, 2 * taps, bandwidth, 1.0)
             assert nmse == pytest.approx(10.0 * math.log10(0.25))

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import KW_ONLY, asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,15 +51,15 @@ ENSEMBLE_BUDGET_BYTES = 1 << 30
 _PATH_BYTES = 96
 
 
-def _is_int(value, low: int = 0, end: int | None = None) -> bool:
-    """True for an int or numpy integer in [low, end), not a bool: numpy
-    would read a negative index from the end and a bool as 0 or 1."""
-    return (
-        isinstance(value, (int, np.integer))
-        and not isinstance(value, bool)
-        and low <= value
-        and (end is None or value < end)
-    )
+def _check_int(name: str, value, low: int = 0, end: int | None = None,
+               error: type[TrfocusError] = ParameterError) -> None:
+    """Raise error unless value is an int or numpy integer in [low, end), not
+    a bool: numpy would read a negative index from the end and a bool as 0
+    or 1.  It is never converted."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or end is not None and value >= end):
+        top = "inf" if end is None else end
+        raise error(f"{name} must be an integer in [{low}, {top}): {_sig3(value)}")
 
 
 def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
@@ -94,7 +95,14 @@ def _generator(rng) -> np.random.Generator:
     try:
         return np.random.default_rng(rng)
     except (TypeError, ValueError) as exc:
-        raise ParameterError(f"rng {rng!r} is not a seed: {exc}") from exc
+        raise ParameterError(f"rng {_sig3(rng)} is not a seed: {exc}") from exc
+
+
+def _check_path(name: str, path, error: type[TrfocusError] = ParameterError) -> None:
+    """Raise error unless path is a str or os.PathLike: open() would take an
+    int as a file descriptor, and close it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise error(f"{name} must be a str or os.PathLike: {_sig3(path)}")
 
 
 class PathSet(NamedTuple):
@@ -124,9 +132,7 @@ class CavityParams:
             _check_real(name, getattr(self, name), 0.0)
         _check_real("aperture_half_angle_rad", self.aperture_half_angle_rad, 0.0, math.pi, "(]")
         for name in ("n_paths", "oversample"):  # numpy sizes are int64
-            value = getattr(self, name)
-            if not _is_int(value, low=1, end=2**63):
-                raise ParameterError(f"{name} must be an integer in [1, 2**63): {_sig3(value)}")
+            _check_int(name, getattr(self, name), low=1, end=2**63)
         # Synthesis takes each delay in samples and its carrier phase.  As
         # Python floats the products overflow to inf without a warning.
         b, fc = float(self.bandwidth_hz), float(self.carrier_hz)
@@ -214,9 +220,8 @@ def check_budget(n_bytes: int, what: Callable[[], str]) -> None:
 def check_ensemble_size(n_tx: int, n_rx: int, cir_length: int) -> None:
     """Raise ParameterError when a dimension is not an integer >= 1 or the
     CIRs and the spectrum of an ensemble would exceed ENSEMBLE_BUDGET_BYTES."""
-    if not all(_is_int(n, low=1) for n in (n_tx, n_rx, cir_length)):
-        dims = ", ".join(map(_sig3, (n_tx, n_rx, cir_length)))
-        raise ParameterError(f"n_tx, n_rx and cir_length must be integers >= 1: ({dims})")
+    for name, n in (("n_tx", n_tx), ("n_rx", n_rx), ("cir_length", cir_length)):
+        _check_int(name, n, low=1)
 
     def what() -> str:
         dims = f"{_sig3(n_tx)} x {_sig3(n_rx)} CIRs of {_sig3(cir_length)} taps"
@@ -242,15 +247,9 @@ class ChannelEnsemble:
     cirs: np.ndarray  # complex, shape (n_tx, n_rx, cir_length)
     params: CavityParams
     grid: RxGrid
-    _: KW_ONLY
-    seed: int | None = None
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.seed is None or _is_int(self.seed)):
-            raise ParameterError(f"seed {self.seed!r} must be an integer >= 0 or None")
-        if self.seed is not None:
-            object.__setattr__(self, "seed", int(self.seed))  # JSON-writable
         arr = _finite_array(self.cirs, "CIR taps")
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != len(self.grid):
             raise DimensionMismatchError(
@@ -282,8 +281,7 @@ class ChannelEnsemble:
     def check_rx(self, rx: int) -> None:
         """Raise InvalidTargetError unless rx is an integer index of a grid
         position."""
-        if not _is_int(rx, end=len(self.grid)):
-            raise InvalidTargetError(f"grid index {rx!r} is not in range({len(self.grid)})")
+        _check_int("grid index", rx, end=len(self.grid), error=InvalidTargetError)
 
     def cirs_at(self, rx: int) -> np.ndarray:
         """All per-antenna CIRs for one grid position: a read-only
@@ -421,13 +419,12 @@ def build_ensemble(
         lambda: f"synthesizing CIRs from {_sig3(n)} paths needs",
     )
     gen = _generator(rng)
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     cirs = np.empty((n_tx, len(grid), length), dtype=np.complex128)
     for a in range(n_tx):
         paths = draw_paths(params, gen)
         for r, x in enumerate(grid.positions_m):
             cirs[a, r] = _synthesize_taps(paths, float(x), params, length)
-    return ChannelEnsemble(cirs=cirs, params=params, grid=grid, seed=seed)
+    return ChannelEnsemble(cirs=cirs, params=params, grid=grid)
 
 
 def spatial_correlation_theory(
@@ -482,36 +479,26 @@ _FORMAT_NAME = "trfocus-ensemble"
 _TEXT_BYTES_PER_VALUE = 32
 
 
-def save_ensemble(ensemble: ChannelEnsemble, path, mode: str = "text") -> None:
-    """Write an ensemble to disk: one JSON header line, then the taps.
-
-    mode="text": one line per (antenna, position) CIR with repr-formatted
-    interleaved re/im values; reloads bit-exactly.  mode="binary": raw
-    little-endian complex128 in C order after the header line.
+def save_ensemble(ensemble: ChannelEnsemble, path) -> None:
+    """Write an ensemble to disk: one JSON header line, then one line per
+    (antenna, position) CIR of repr-formatted interleaved re/im values,
+    which reloads bit-exactly.  A path that is not a str or os.PathLike
+    raises ParameterError.
     """
-    if not (isinstance(mode, str) and mode in ("text", "binary")):
-        raise ParameterError(f"mode must be 'text' or 'binary', got {mode!r}")
+    _check_path("path", path)
     header = {
         "format": _FORMAT_NAME,
         "version": 1,
-        "mode": mode,
         "n_tx": ensemble.n_tx,
         "n_rx": len(ensemble.grid),
         "cir_length": ensemble.cir_length,
-        "seed": ensemble.seed,
         "params": asdict(ensemble.params),
         "grid": {"positions_m": [float(x) for x in ensemble.grid.positions_m]},
     }
-    header_line = json.dumps(header, sort_keys=True)
-    if mode == "text":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header_line + "\n")
-            for row in ensemble.cirs.reshape(-1, ensemble.cir_length):
-                fh.write(" ".join(map(repr, row.view(np.float64).tolist())) + "\n")
-    else:
-        with open(path, "wb") as fh:
-            fh.write(header_line.encode("utf-8") + b"\n")
-            fh.write(np.ascontiguousarray(ensemble.cirs, dtype="<c16").tobytes())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for row in ensemble.cirs.reshape(-1, ensemble.cir_length):
+            fh.write(" ".join(map(repr, row.view(np.float64).tolist())) + "\n")
 
 
 def _text_lines(fh, n_rows: int, max_line_bytes: int):
@@ -533,10 +520,12 @@ def _text_lines(fh, n_rows: int, max_line_bytes: int):
 def load_ensemble(path) -> ChannelEnsemble:
     """Inverse of :func:`save_ensemble`.
 
-    A malformed header, or a body that does not hold n_tx * n_rx
-    cir_length-tap CIRs (one per line in text mode), raises ParameterError.
-    The body is read only as far as the header's shape allows.
+    A path that is not a str or os.PathLike, a malformed header, or a body
+    that does not hold n_tx * n_rx cir_length-tap CIRs, one per line,
+    raises ParameterError.  Header keys it does not read are ignored.  The
+    body is read only as far as the header's shape allows.
     """
+    _check_path("path", path)
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
@@ -553,34 +542,22 @@ def load_ensemble(path) -> ChannelEnsemble:
                 raise TypeError(f"grid positions_m {positions!r} must be a list of JSON numbers")
             grid = RxGrid(np.array(positions, dtype=np.float64))
             shape = (header["n_tx"], header["n_rx"], header["cir_length"])
-            mode, seed = header["mode"], header["seed"]
-            if not all(type(n) is int for n in shape):
-                raise TypeError(f"n_tx, n_rx and cir_length {shape} must be JSON integers")
-            if not (seed is None or _is_int(seed)):
-                raise TypeError(f"seed {seed!r} must be an integer >= 0 or null")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"{path}: malformed header ({exc!r})") from exc
-        if mode not in ("text", "binary"):
-            raise ParameterError(f"{path}: unknown mode {mode!r}")
         check_ensemble_size(*shape)
         n_rows, n_values = shape[0] * shape[1], 2 * shape[2]
         try:
-            if mode == "text":
-                values = np.loadtxt(
-                    _text_lines(fh, n_rows, n_values * _TEXT_BYTES_PER_VALUE),
-                    dtype=np.float64,
-                    comments=None,
-                    ndmin=2,
-                )
-                if values.shape != (n_rows, n_values):
-                    raise ValueError(f"text body of shape {values.shape}")
-                cirs = values.view(np.complex128).reshape(shape)
-            else:
-                # Read-only over the body; ChannelEnsemble makes the one copy.
-                body = fh.read(n_rows * n_values * 8 + 1)
-                cirs = np.frombuffer(body, dtype="<c16").reshape(shape)
+            values = np.loadtxt(
+                _text_lines(fh, n_rows, n_values * _TEXT_BYTES_PER_VALUE),
+                dtype=np.float64,
+                comments=None,
+                ndmin=2,
+            )
+            if values.shape != (n_rows, n_values):
+                raise ValueError(f"text body of shape {values.shape}")
+            cirs = values.view(np.complex128).reshape(shape)
         except ValueError as exc:  # also UnicodeDecodeError
             raise ParameterError(
                 f"{path}: body does not hold {shape[0]}x{shape[1]}x{shape[2]} taps"
             ) from exc
-    return ChannelEnsemble(cirs=cirs, params=params, grid=grid, seed=seed)
+    return ChannelEnsemble(cirs=cirs, params=params, grid=grid)

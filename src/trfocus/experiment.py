@@ -29,8 +29,10 @@ from .channel import (
     CavityParams,
     ChannelEnsemble,
     RxGrid,
+    _check_path,
     _check_real,
     _generator,
+    _sig3,
     _spectrum_length,
     build_ensemble,
     check_budget,
@@ -191,13 +193,13 @@ def _checked(name: str, value, kind: str):
     kind = kind.removesuffix(" | None")
     if kind == "tuple[float, ...]":
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+            raise ConfigError(f"{name} must be a list of numbers, got {_sig3(value)}")
         return tuple(_checked(name, v, "float") for v in value)
     if kind == "float":
         _check_real(name, value, error=ConfigError)
         return float(value)
     if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
-        raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+        raise ConfigError(f"{name} must be of type {kind}, got {_sig3(value)}")
     return int(value) if kind == "int" else value
 
 
@@ -292,7 +294,7 @@ def config_from_preset(preset_name: str, **overrides) -> ScenarioConfig:
     """
     if not isinstance(preset_name, str) or preset_name not in PRESETS:
         raise ConfigError(
-            f"unknown preset {preset_name!r}; choose from {sorted(PRESETS)}"
+            f"unknown preset {_sig3(preset_name)}; choose from {sorted(PRESETS)}"
         )
     unknown = set(overrides) - _CONFIG_KEYS
     if unknown:
@@ -793,9 +795,12 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
     subTHz focusing at +/-0.9 mm (the grid points nearest 1 mm) plus the
     no-TR baseline profile.  Returns a manifest of the files written,
     each relative to outdir, so its bytes do not depend on where outdir is.
+    An unknown figure id, or an outdir that is not a str or os.PathLike,
+    raises ConfigError.
     """
-    if figure_id not in FIGURE_IDS:
-        raise ConfigError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
+    if not isinstance(figure_id, str) or figure_id not in FIGURE_IDS:
+        raise ConfigError(f"unknown figure id {_sig3(figure_id)}; choose from {FIGURE_IDS}")
+    _check_path("outdir", outdir, ConfigError)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"figure": figure_id, "seed": seed, "files": []}

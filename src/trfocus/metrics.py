@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _check_real, _finite_array, _is_int
+from .channel import _check_int, _check_real, _finite_array
 from .errors import DegenerateBackgroundError, EdgePeakError, ParameterError
 from .link import SpaceTimeField, TrdmaResult
 
@@ -79,8 +79,7 @@ def spatial_profile(field: SpaceTimeField, peak_time_index: int) -> SpatialProfi
     A peak on the first or last grid position raises EdgePeakError.
     """
     n_time = field.field.shape[1]
-    if not _is_int(peak_time_index, end=n_time):
-        raise ParameterError(f"peak_time_index {peak_time_index!r} is not in range({n_time})")
+    _check_int("peak_time_index", peak_time_index, end=n_time)
     power = np.abs(field.field[:, peak_time_index]) ** 2
     fwhm = _half_power_width(power, field.positions_m)
     return SpatialProfile(power_db=_db_profile(power), fwhm_m=fwhm)
@@ -94,8 +93,7 @@ def focusing_gain(field: SpaceTimeField, target_index: int) -> float:
     2 * oversample samples.
     """
     n_rx, n_time = field.field.shape
-    if not _is_int(target_index, end=n_rx):
-        raise ParameterError(f"target_index {target_index!r} is not in range({n_rx})")
+    _check_int("target_index", target_index, end=n_rx)
     power = np.abs(field.field) ** 2
     target_row = power[target_index]
     peak_n = int(np.argmax(target_row))
@@ -152,10 +150,8 @@ def isi_ratio(trdma: TrdmaResult) -> np.ndarray:
     n_users, n_time = trdma.own_rx.shape
     peak_n = trdma.peak_index
     period = trdma.symbol_period_samples
-    if not _is_int(period, low=1):
-        raise ParameterError(f"symbol_period_samples must be an integer >= 1: {period!r}")
-    if not _is_int(peak_n, end=n_time):
-        raise ParameterError(f"peak_index {peak_n!r} is not in range({n_time})")
+    _check_int("symbol_period_samples", period, low=1)
+    _check_int("peak_index", peak_n, end=n_time)
     offsets = []
     m = 1
     while peak_n + m * period < n_time or peak_n - m * period >= 0:

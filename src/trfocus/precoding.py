@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _check_real, _finite_array, _is_int, _sig3, check_budget
-from .errors import DegenerateChannelError, DimensionMismatchError, ParameterError
+from .channel import _check_int, _check_real, _finite_array, _sig3, check_budget
+from .errors import DegenerateChannelError, DimensionMismatchError
 
 
 def _stack_cirs(cirs) -> np.ndarray:
@@ -54,8 +54,7 @@ def mrt_weights(cirs, n_bins: int, total_energy: float = 1.0) -> np.ndarray:
     """
     taps = _stack_cirs(cirs)
     n_tx, length = taps.shape
-    if not _is_int(n_bins, low=length):
-        raise ParameterError(f"n_bins must be an integer >= the CIR length {length}: {n_bins!r}")
+    _check_int("n_bins", n_bins, low=length)
     check_budget(16 * n_tx * n_bins, lambda: f"MRT weights for {n_tx} x {_sig3(n_bins)} bins need")
     scale = _joint_scale(taps, total_energy)
     weights = np.fft.fft(taps, n_bins, axis=1)
@@ -73,15 +72,18 @@ def equivalence_residual(bank, cirs) -> float:
     delay of L-1 samples, and returns the larger of the complex residual
     max |W_tr e^{+j 2 pi k (L-1)/N} - W_mrt| and the per-bin magnitude
     residual max ||W_tr| - |W_mrt||, both relative to max |W_mrt|.
-    Exact TR banks built from the same CIRs give < 1e-10.
+    Exact TR banks built from the same CIRs give < 1e-10.  A bank of zero
+    energy raises ParameterError.
     """
     filters, taps = _stack_cirs(bank), _stack_cirs(cirs)
     if filters.shape != taps.shape:
         raise DimensionMismatchError("bank and CIR dimensions differ")
     length = taps.shape[1]
     n_bins = 2 * length - 1
+    energy = float(np.sum(np.abs(filters) ** 2))
+    _check_real("the bank's energy sum |w|^2", energy, 0.0)
     w_tr = np.fft.fft(filters, n_bins, axis=1)
-    w_mrt = mrt_weights(taps, n_bins, float(np.sum(np.abs(filters) ** 2)))
+    w_mrt = mrt_weights(taps, n_bins, energy)
     ref = float(np.max(np.abs(w_mrt)))
     if ref == 0.0:
         raise DegenerateChannelError("all CIRs are zero")

@@ -327,7 +327,7 @@ class TestSounding:
         config = self.small_config()
         ens = build_ensemble(config.cavity, config.grid, config.n_tx, 3)
         for snr_db in (None, 30.0):
-            with pytest.raises(InvalidTargetError, match="not in range"):
+            with pytest.raises(InvalidTargetError, match="grid index must be an integer"):
                 sound_cirs(ens, rx, 1e-6, snr_db, 0)
 
     @pytest.mark.parametrize(
@@ -779,3 +779,14 @@ class TestReproduce:
             manifests.append((outdir / "fig2a_manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
         assert json.loads(manifests[0])["files"] == ["fig2a_spatial.csv"]
+
+    def test_unknown_figure_or_outdir_raises_config_error(self, tmp_path, monkeypatch):
+        # An int outdir is no file descriptor here, and nothing is written.
+        monkeypatch.chdir(tmp_path)
+        for figure in (10**5000, None, np.ones(3), "fig9"):
+            with pytest.raises(ConfigError, match="unknown figure id"):
+                experiment.reproduce(figure, tmp_path)
+        for outdir in (5, None, 10**5000, b"out"):
+            with pytest.raises(ConfigError, match="outdir"):
+                experiment.reproduce("fig3", outdir)
+        assert not any(tmp_path.iterdir())

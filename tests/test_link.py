@@ -205,7 +205,7 @@ class TestTrdmaLink:
         params = rich_params(n_paths=50)
         ens = build_ensemble(params, RxGrid(np.array([0.0, 0.02])), 1, 9)
         bank = tr_filters(ens.cirs_at(0), 1.0)
-        with pytest.raises(InvalidTargetError, match="not in range"):
+        with pytest.raises(InvalidTargetError, match="grid index must be an integer"):
             trdma_link([bank, bank], ens, targets, symbol_period_samples=8)
 
     def test_intended_peak_beats_interference(self):

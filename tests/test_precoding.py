@@ -208,6 +208,11 @@ class TestEquivalenceResidual:
         with pytest.raises(DimensionMismatchError):
             equivalence_residual(bank, cirs[:1])
 
+    def test_zero_bank_is_refused_by_name(self):
+        cirs = random_cirs(np.random.default_rng(10), 2, 16)
+        with pytest.raises(ParameterError, match="bank"):
+            equivalence_residual(np.zeros_like(cirs), cirs)
+
 
 class TestPeakOptimality:
     def test_no_equal_energy_bank_beats_tr(self):

@@ -473,57 +473,38 @@ def spatial_correlation_theory(
 # Ensemble file export
 
 _FORMAT_NAME = "trfocus-ensemble"
-
-# A text line may spend at most this many bytes per value, separators and
-# line end included; repr of a float64 takes at most 24 characters.
-_TEXT_BYTES_PER_VALUE = 32
+_FORMAT_VERSION = 2
 
 
 def save_ensemble(ensemble: ChannelEnsemble, path) -> None:
-    """Write an ensemble to disk: one JSON header line, then one line per
-    (antenna, position) CIR of repr-formatted interleaved re/im values,
-    which reloads bit-exactly.  A path that is not a str or os.PathLike
+    """Write an ensemble to disk: one JSON header line, then the taps as
+    raw little-endian complex128 ("<c16") in C order, shape (n_tx, n_rx, L),
+    which reload bit-exactly.  A path that is not a str or os.PathLike
     raises ParameterError.
     """
     _check_path("path", path)
     header = {
         "format": _FORMAT_NAME,
-        "version": 1,
+        "version": _FORMAT_VERSION,
         "n_tx": ensemble.n_tx,
         "n_rx": len(ensemble.grid),
         "cir_length": ensemble.cir_length,
         "params": asdict(ensemble.params),
         "grid": {"positions_m": [float(x) for x in ensemble.grid.positions_m]},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in ensemble.cirs.reshape(-1, ensemble.cir_length):
-            fh.write(" ".join(map(repr, row.view(np.float64).tolist())) + "\n")
-
-
-def _text_lines(fh, n_rows: int, max_line_bytes: int):
-    """Yield the n_rows lines of a text body, decoded, for np.loadtxt.
-
-    Raise ValueError for a missing or blank line, which loadtxt would skip,
-    and for data past the last line.  A line over max_line_bytes is read in
-    pieces, so it comes out as one line too many or a blank or ragged one.
-    """
-    for k in range(n_rows):
-        text = fh.readline(max_line_bytes).decode("utf-8")
-        if not text or text.isspace():
-            raise ValueError(f"line {k + 1} of the body is missing or blank")
-        yield text
-    if fh.read(1):
-        raise ValueError(f"the body has more than {n_rows} lines")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(ensemble.cirs.astype("<c16", copy=False).tobytes())
 
 
 def load_ensemble(path) -> ChannelEnsemble:
     """Inverse of :func:`save_ensemble`.
 
-    A path that is not a str or os.PathLike, a malformed header, or a body
-    that does not hold n_tx * n_rx cir_length-tap CIRs, one per line,
-    raises ParameterError.  Header keys it does not read are ignored.  The
-    body is read only as far as the header's shape allows.
+    A path that is not a str or os.PathLike, a malformed header, a version
+    other than 2 (version 1 held a text body), or a body that is not
+    exactly 16 * n_tx * n_rx * cir_length bytes raises ParameterError.
+    Header keys it does not read are ignored.  The body is read straight
+    into the tap array, and no further than its size.
     """
     _check_path("path", path)
     with open(path, "rb") as fh:
@@ -544,20 +525,15 @@ def load_ensemble(path) -> ChannelEnsemble:
             shape = (header["n_tx"], header["n_rx"], header["cir_length"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"{path}: malformed header ({exc!r})") from exc
-        check_ensemble_size(*shape)
-        n_rows, n_values = shape[0] * shape[1], 2 * shape[2]
-        try:
-            values = np.loadtxt(
-                _text_lines(fh, n_rows, n_values * _TEXT_BYTES_PER_VALUE),
-                dtype=np.float64,
-                comments=None,
-                ndmin=2,
-            )
-            if values.shape != (n_rows, n_values):
-                raise ValueError(f"text body of shape {values.shape}")
-            cirs = values.view(np.complex128).reshape(shape)
-        except ValueError as exc:  # also UnicodeDecodeError
+        version = header.get("version")
+        if version != _FORMAT_VERSION:
             raise ParameterError(
-                f"{path}: body does not hold {shape[0]}x{shape[1]}x{shape[2]} taps"
-            ) from exc
+                f"{path}: file version {version!r}; only version {_FORMAT_VERSION} is read"
+            )
+        check_ensemble_size(*shape)
+        cirs = np.empty(shape, dtype="<c16")
+        if fh.readinto(cirs) != cirs.nbytes or fh.read(1):
+            raise ParameterError(
+                f"{path}: body is not {shape[0]}x{shape[1]}x{shape[2]} taps of 16 bytes"
+            )
     return ChannelEnsemble(cirs=cirs, params=params, grid=grid)

@@ -29,6 +29,7 @@ from .channel import (
     CavityParams,
     ChannelEnsemble,
     RxGrid,
+    _check_int,
     _check_path,
     _check_real,
     _generator,
@@ -58,6 +59,10 @@ THREADS_ENV_VAR = "TRFOCUS_THREADS"
 # Most trials one campaign may run; every trial's profiles stay in memory
 # until the output files are written.
 MAX_TRIALS = 100_000
+
+# Seeds lie in [0, MAX_SEED).  SeedSequence takes any int >= 0, but json
+# refuses to write an int of more than 4 300 digits into trials.json.
+MAX_SEED = 2**128
 
 # Most processes TRFOCUS_THREADS may ask map_trials to run trials in.
 MAX_WORKERS = 64
@@ -228,8 +233,7 @@ class ScenarioConfig:
         if not 1 <= self.n_trials <= MAX_TRIALS:
             raise ConfigError(f"n_trials must lie in [1, {MAX_TRIALS}]")
         check_ensemble_size(self.n_tx, len(self.grid), self.cavity.cir_length)
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        _check_int("seed", self.seed, end=MAX_SEED, error=ConfigError)
         if self.csi_mode not in ("perfect", "sounded"):
             raise ConfigError("csi mode must be 'perfect' or 'sounded'")
         if self.csi_mode == "sounded":
@@ -795,14 +799,14 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
     subTHz focusing at +/-0.9 mm (the grid points nearest 1 mm) plus the
     no-TR baseline profile.  Returns a manifest of the files written,
     each relative to outdir, so its bytes do not depend on where outdir is.
-    An unknown figure id, or an outdir that is not a str or os.PathLike,
-    raises ConfigError.
+    An unknown figure id, an outdir that is not a str or os.PathLike, or a
+    seed or trial count that ScenarioConfig refuses raises ConfigError
+    before outdir is created.
     """
     if not isinstance(figure_id, str) or figure_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {_sig3(figure_id)}; choose from {FIGURE_IDS}")
     _check_path("outdir", outdir, ConfigError)
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"figure": figure_id, "seed": seed, "files": []}
     if trials is None:
         trials = 50 if figure_id == "fig4" else 20
@@ -811,6 +815,9 @@ def reproduce(figure_id: str, outdir, seed: int = 0, trials: int | None = None) 
         return config_from_preset(
             preset, n_trials=trials, seed=seed, outdir=str(out / subdir), **overrides
         )
+
+    config("subthz", ".")  # refuses a bad seed or trial count before outdir exists
+    out.mkdir(parents=True, exist_ok=True)
 
     def profile_csv(name: str, cfg: ScenarioConfig, profile: np.ndarray) -> None:
         _write_profile(out / name, "position_m,power_db", cfg.grid.positions_m.tolist(), profile)

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelEnsemble, _finite_array, check_budget
+from .channel import ChannelEnsemble, _check_int, _finite_array, check_budget
 from .errors import DimensionMismatchError, InvalidTargetError
 
 
@@ -108,8 +108,9 @@ def trdma_link(
     Each user transmits a unit impulse shaped by its own TR bank.  Bank
     v's field at the U targets is one transient (U, 2L-1) block, of which
     the result keeps the focusing-instant column and user v's own row.
-    A result over ENSEMBLE_BUDGET_BYTES raises ParameterError before
-    anything is propagated.
+    A symbol_period_samples that is not an integer >= 1, or a result over
+    ENSEMBLE_BUDGET_BYTES, raises ParameterError before anything is
+    propagated.
     """
     try:
         n_users, n_targets = len(banks), len(targets)
@@ -121,6 +122,7 @@ def trdma_link(
         ensemble.check_rx(t)
     if len(set(targets)) != n_users:
         raise InvalidTargetError("TRDMA targets must be distinct grid indices")
+    _check_int("symbol_period_samples", symbol_period_samples, low=1)
     length = ensemble.cir_length
     check_trdma_size(n_users, length)
     for bank in banks:

@@ -443,9 +443,18 @@ class TestEnsembleExport:
         grid = RxGrid(np.array([0.0, 0.004, 0.008]))
         return build_ensemble(params, grid, 2, 9)
 
-    def test_text_round_trip_bit_exact(self, tmp_path):
+    @staticmethod
+    def version_1_lines(ens):
+        # A version-1 file held a text body: one line of repr-formatted
+        # re/im values per CIR.
+        return [
+            " ".join(map(repr, row.view(np.float64).tolist())).encode()
+            for row in ens.cirs.reshape(-1, ens.cir_length)
+        ]
+
+    def test_round_trip_bit_exact(self, tmp_path):
         ens = self.make_small()
-        path = tmp_path / "ensemble.txt"
+        path = tmp_path / "ensemble"
         save_ensemble(ens, path)
         back = load_ensemble(path)
         np.testing.assert_array_equal(back.cirs, ens.cirs)
@@ -469,25 +478,29 @@ class TestEnsembleExport:
         np.testing.assert_array_equal(back.grid.positions_m, ens.grid.positions_m)
         assert back.params == ens.params
 
-    def test_older_header_loads_and_a_raw_body_is_refused(self, tmp_path):
+    def test_older_keys_load_and_a_version_1_file_is_refused(self, tmp_path):
         # Older files carry "mode" and "seed" keys, which load_ensemble
-        # ignores; a body of raw complex128, as older binary files held,
-        # is no text body.
+        # ignores.  A version-1 file held a text body; its version refuses
+        # it, and so does a header with no version.
         import json
 
         ens = self.make_small()
-        path = tmp_path / "ensemble.txt"
+        path = tmp_path / "ensemble"
         save_ensemble(ens, path)
         header_line, body = path.read_bytes().split(b"\n", 1)
-        header = {**json.loads(header_line), "mode": "text", "seed": 9}
+        header = {**json.loads(header_line), "mode": "binary", "seed": 9}
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
         back = load_ensemble(path)
         np.testing.assert_array_equal(back.cirs.view(np.int64), ens.cirs.view(np.int64))
         assert back.params == ens.params
-        header["mode"] = "binary"
-        raw = np.ascontiguousarray(ens.cirs, dtype="<c16").tobytes()
-        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + raw)
-        with pytest.raises(ParameterError, match="body does not hold"):
+        text = b"".join(line + b"\n" for line in self.version_1_lines(ens))
+        header.update(version=1, mode="text")
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + text)
+        with pytest.raises(ParameterError, match="file version 1;"):
+            load_ensemble(path)
+        del header["version"]
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+        with pytest.raises(ParameterError, match="file version None;"):
             load_ensemble(path)
 
     def test_header_missing_keys_raises_parameter_error(self, tmp_path):
@@ -553,35 +566,27 @@ class TestEnsembleExport:
     def test_wrong_body_size_raises_parameter_error(self, tmp_path):
         path = tmp_path / "ensemble"
         save_ensemble(self.make_small(), path)
-        data = path.read_bytes()
-        path.write_bytes(data[: data.rindex(b"\n", 0, len(data) - 1)])
-        with pytest.raises(ParameterError, match="body does not hold"):
-            load_ensemble(path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        for wrong in (body[:-1], body + b"\0", b""):  # a byte short, a byte extra, no body
+            path.write_bytes(header + b"\n" + wrong)
+            with pytest.raises(ParameterError, match="body is not 2x3x.* taps of 16 bytes"):
+                load_ensemble(path)
 
     def test_non_finite_tap_raises_parameter_error(self, tmp_path):
         path = tmp_path / "ensemble"
         save_ensemble(self.make_small(), path)
         header, body = path.read_bytes().split(b"\n", 1)
-        _, rest = body.split(b" ", 1)
-        path.write_bytes(header + b"\n" + b"nan " + rest)
-        with pytest.raises(ParameterError, match="finite"):
-            load_ensemble(path)
-
-    def test_cir_split_over_two_lines_raises_parameter_error(self, tmp_path):
-        path = tmp_path / "ensemble.txt"
-        save_ensemble(self.make_small(), path)
-        header, first, rest = path.read_text().split("\n", 2)
-        tokens = first.split()
-        half = len(tokens) // 2
-        path.write_text(
-            "\n".join([header, " ".join(tokens[:half]), " ".join(tokens[half:]), rest])
-        )
-        with pytest.raises(ParameterError, match="body does not hold"):
-            load_ensemble(path)
+        for index, value in ((0, math.nan), (7, math.inf), (-1, -math.inf)):
+            values = np.frombuffer(body, dtype="<f8").copy()  # re, im of each tap
+            values[index] = value
+            path.write_bytes(header + b"\n" + values.tobytes())
+            with pytest.raises(ParameterError, match="finite"):
+                load_ensemble(path)
 
     @pytest.mark.parametrize(
         "corrupt",
         [
+            pytest.param(lambda first, rest: [first] + rest, id="well-formed"),
             pytest.param(lambda first, rest: [first, b""] + rest, id="blank-line"),
             pytest.param(lambda first, rest: [first, b" \t "] + rest, id="whitespace-line"),
             pytest.param(lambda first, rest: [b" "] * (1 + len(rest)), id="blank-body"),
@@ -600,35 +605,31 @@ class TestEnsembleExport:
         ],
     )
     def test_malformed_text_body_raises_parameter_error(self, tmp_path, corrupt):
-        # np.loadtxt alone would skip the blank and whitespace-only lines,
-        # and warns when no line is left; 0xa0 is whitespace in Latin-1 but
-        # no character in UTF-8.
-        path = tmp_path / "ensemble.txt"
-        save_ensemble(self.make_small(), path)
-        header, first, *rest = path.read_bytes().split(b"\n")[:-1]
-        path.write_bytes(b"\n".join([header, *corrupt(first, rest)]) + b"\n")
-        with pytest.raises(ParameterError, match="body does not hold"):
-            load_ensemble(path)
-
-    def test_crlf_text_body_loads_bit_exact(self, tmp_path):
+        # A version-1 text body, well formed or not, under the current
+        # header is refused by its size, never read as taps.
         ens = self.make_small()
-        path = tmp_path / "ensemble.txt"
+        path = tmp_path / "ensemble"
         save_ensemble(ens, path)
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        np.testing.assert_array_equal(
-            load_ensemble(path).cirs.view(np.int64), ens.cirs.view(np.int64)
-        )
+        header = path.read_bytes().split(b"\n", 1)[0]
+        first, *rest = self.version_1_lines(ens)
+        path.write_bytes(b"\n".join([header, *corrupt(first, rest)]) + b"\n")
+        with pytest.raises(ParameterError, match="body is not 2x3x.* taps of 16 bytes"):
+            load_ensemble(path)
 
     def test_header_is_json_first_line(self, tmp_path):
         import json
 
         ens = self.make_small()
-        path = tmp_path / "ensemble.txt"
+        path = tmp_path / "ensemble"
         save_ensemble(ens, path)
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             header = json.loads(fh.readline())
+            body = fh.read()
         assert header["format"] == "trfocus-ensemble"
+        assert header["version"] == 2
         assert header["n_tx"] == 2
+        # The body is the taps, little-endian complex128 in C order.
+        assert body == ens.cirs.astype("<c16").tobytes()
 
 
 # Signed zero, the smallest and largest subnormals, the largest finite

@@ -29,6 +29,7 @@ from trfocus.errors import (
     ParameterError,
 )
 from trfocus.experiment import (
+    MAX_SEED,
     MAX_TRIALS,
     MAX_WORKERS,
     PRESETS,
@@ -36,6 +37,7 @@ from trfocus.experiment import (
     _grid_positions,
     config_from_preset,
     map_trials,
+    run_experiment,
     run_trials,
     sound_cirs,
     thread_count,
@@ -131,6 +133,18 @@ class TestScenarioConfig:
         config_from_preset("subthz", n_trials=MAX_TRIALS, seed=0)
         with pytest.raises(ConfigError, match="n_trials"):
             config_from_preset("subthz", n_trials=MAX_TRIALS + 1, seed=0)
+
+    def test_seed_is_bounded_before_anything_is_written(self, tmp_path):
+        # SeedSequence takes any int >= 0, but json cannot write one of
+        # more than 4 300 digits into trials.json.
+        out = tmp_path / "out"
+        config_from_preset("subthz", n_trials=1, seed=MAX_SEED - 1)
+        for seed in (-1, MAX_SEED, 10**5000):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                run_experiment(
+                    config_from_preset("subthz", n_trials=1, seed=seed, outdir=str(out))
+                )
+        assert not out.exists()
 
     def test_ensemble_budget_checked_before_allocation(self):
         # Every refusal shares check_budget's wording.
@@ -789,4 +803,8 @@ class TestReproduce:
         for outdir in (5, None, 10**5000, b"out"):
             with pytest.raises(ConfigError, match="outdir"):
                 experiment.reproduce("fig3", outdir)
+        # A bad seed or trial count is refused before outdir is created.
+        for kwargs in (dict(seed=-1), dict(seed=10**5000), dict(trials=0), dict(trials=1.0)):
+            with pytest.raises(ConfigError, match="seed|n_trials"):
+                experiment.reproduce("fig3", "outA", **kwargs)
         assert not any(tmp_path.iterdir())

@@ -191,6 +191,15 @@ class TestTrdmaLink:
             trdma_link(banks, ens, range(8192), symbol_period_samples=1)
         check_trdma_size(8191, 1)
 
+    def test_bad_symbol_period_raises_before_propagating(self):
+        # The period is checked before the budget, so these 8 192 users,
+        # one over it, are refused for their period alone.
+        ens = ensemble_from_taps(np.ones((1, 8192, 1)))
+        banks = [np.ones((1, 1), dtype=complex)] * 8192
+        for period in (0, -1, np.int64(0), 1.5, True, None):
+            with pytest.raises(ParameterError, match="symbol_period_samples must be an integer"):
+                trdma_link(banks, ens, range(8192), symbol_period_samples=period)
+
     def test_duplicate_targets_rejected(self):
         params = rich_params(n_paths=50)
         grid = RxGrid(np.array([0.0, 0.02]))

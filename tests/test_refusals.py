@@ -3,12 +3,12 @@ raises a TrfocusError, whatever scalar or array it is given.
 
 Each scalar or array argument of an otherwise valid call is replaced in
 turn by each value of HOSTILE.  Record arguments (a CavityParams, RxGrid,
-ChannelEnsemble, SpaceTimeField or TrdmaResult) stay valid; a file path
-takes only the values that are not strings, because a string is a real
-file name whose errors are the OSError of the file system.  A record of
-10**9 paths is passed to the two functions that draw them.  reproduce
-and run_experiment are left out: their inputs arrive through
-ScenarioConfig, which is called here and which the CLI tests fuzz too.
+ChannelEnsemble, ScenarioConfig, SpaceTimeField or TrdmaResult) stay
+valid; a file path or outdir takes only the values that are not strings,
+because a string is a real file name whose errors are the OSError of the
+file system.  A record of 10**9 paths is passed to the two functions that
+draw them.  reproduce and run_experiment run one-trial campaigns, each
+call of reproduce into a directory of its own.
 
 Run as a script, this module makes every call and prints one line per
 call that raised anything else.  The test runs it in a fresh interpreter
@@ -51,6 +51,8 @@ from trfocus import (
     isi_ratio,
     load_ensemble,
     mrt_weights,
+    reproduce,
+    run_experiment,
     save_ensemble,
     sir,
     sound_cirs,
@@ -69,13 +71,13 @@ HOSTILE = [
 ]
 
 # Arguments whose valid value is kept in every call.
-RECORDS = (CavityParams, RxGrid, ChannelEnsemble, SpaceTimeField, TrdmaResult)
+RECORDS = (CavityParams, RxGrid, ChannelEnsemble, ScenarioConfig, SpaceTimeField, TrdmaResult)
 
 
 def valid_calls(tmp: Path) -> list:
     """(function, valid keyword arguments) for every exported function and
-    record constructor but reproduce and run_experiment, on a 2-antenna,
-    3-point ensemble of 32-tap CIRs."""
+    record constructor, on a 2-antenna, 3-point ensemble of 32-tap CIRs;
+    the two campaigns run one subthz trial and one fig3 trial."""
     cavity = dict(carrier_hz=2.5e9, bandwidth_hz=1e8, decay_time_s=8e-8, max_delay_s=8e-8,
                   aperture_half_angle_rad=1.0, n_paths=20, oversample=2)
     params = CavityParams(**cavity)
@@ -103,6 +105,9 @@ def valid_calls(tmp: Path) -> list:
                               seed=0, users_m=(0.0, 0.02), csi_mode="sounded",
                               chirp_duration_s=1e-7, sounding_snr_db=30.0, tx_energy=1.0,
                               symbol_period_samples=4, outdir="out")),
+        (run_experiment, dict(config=config_from_preset("subthz", n_trials=1,
+                                                        outdir=str(tmp / "run")))),
+        (reproduce, dict(figure_id="fig3", outdir=tmp / "reproduce", seed=0, trials=1)),
         (config_from_preset, dict(preset_name="subthz", bandwidth_hz=3e9, n_tx=1,
                                   target_m=0.0, n_trials=1, seed=0, users_m=(-0.0003, 0.0003),
                                   chirp_duration_s=1e-6, sounding_snr_db=30.0,
@@ -140,7 +145,7 @@ def hostile_calls(tmp: Path):
             if isinstance(value, RECORDS):
                 continue
             for bad in HOSTILE:
-                if name == "path" and isinstance(bad, str):
+                if name in ("path", "outdir") and isinstance(bad, str):
                     continue
                 label = f"{fn.__name__}({name}={show(bad)})"
                 yield label, fn, {**kwargs, name: bad}
@@ -164,9 +169,10 @@ def failures(tmp: Path) -> list[str]:
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     }
     called = {fn.__name__ for fn, _ in valid_calls(tmp)}
-    uncalled = exported - called - {"reproduce", "run_experiment"}
-    out = [f"{name}: no call" for name in sorted(uncalled)]
-    for label, fn, kwargs in hostile_calls(tmp):
+    out = [f"{name}: no call" for name in sorted(exported - called)]
+    for k, (label, fn, kwargs) in enumerate(hostile_calls(tmp)):
+        if fn is reproduce and isinstance(kwargs["outdir"], Path):
+            kwargs = {**kwargs, "outdir": tmp / f"reproduce_{k}"}
         try:
             fn(**kwargs)
         except TrfocusError:

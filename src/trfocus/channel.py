@@ -474,13 +474,20 @@ def spatial_correlation_theory(
 
 _FORMAT_NAME = "trfocus-ensemble"
 _FORMAT_VERSION = 2
+# Longest header line, newline included, that is written or read: room for
+# about 600 000 grid positions.
+_MAX_HEADER_BYTES = 16 << 20
+
+
+def _header_too_long(path) -> ParameterError:
+    return ParameterError(f"{path}: header line is over the {_MAX_HEADER_BYTES >> 20} MiB limit")
 
 
 def save_ensemble(ensemble: ChannelEnsemble, path) -> None:
     """Write an ensemble to disk: one JSON header line, then the taps as
     raw little-endian complex128 ("<c16") in C order, shape (n_tx, n_rx, L),
-    which reload bit-exactly.  A path that is not a str or os.PathLike
-    raises ParameterError.
+    which reload bit-exactly.  A path that is not a str or os.PathLike, or
+    a header line over _MAX_HEADER_BYTES, raises ParameterError.
     """
     _check_path("path", path)
     header = {
@@ -492,15 +499,19 @@ def save_ensemble(ensemble: ChannelEnsemble, path) -> None:
         "params": asdict(ensemble.params),
         "grid": {"positions_m": [float(x) for x in ensemble.grid.positions_m]},
     }
+    header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    if len(header_line) > _MAX_HEADER_BYTES:
+        raise _header_too_long(path)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(header_line)
         fh.write(ensemble.cirs.astype("<c16", copy=False).tobytes())
 
 
 def load_ensemble(path) -> ChannelEnsemble:
     """Inverse of :func:`save_ensemble`.
 
-    A path that is not a str or os.PathLike, a malformed header, a version
+    A path that is not a str or os.PathLike, a header line over
+    _MAX_HEADER_BYTES (it is read no further), a malformed header, a version
     other than 2 (version 1 held a text body), or a body that is not
     exactly 16 * n_tx * n_rx * cir_length bytes raises ParameterError.
     Header keys it does not read are ignored.  The body is read straight
@@ -508,7 +519,9 @@ def load_ensemble(path) -> ChannelEnsemble:
     """
     _check_path("path", path)
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header_line = fh.readline(_MAX_HEADER_BYTES + 1)
+        if len(header_line) > _MAX_HEADER_BYTES:
+            raise _header_too_long(path)
         try:
             header = json.loads(header_line.decode("utf-8"))
         except ValueError as exc:  # also UnicodeDecodeError

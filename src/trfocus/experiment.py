@@ -10,6 +10,7 @@ one root seed so runs are byte-reproducible at any worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -323,6 +324,28 @@ def config_from_preset(preset_name: str, **overrides) -> ScenarioConfig:
     return ScenarioConfig(**cfg)
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _sounding_probe(
+    bandwidth_hz: float, chirp_duration_s: float, sample_rate_hz: float, cir_length: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The chirp probe of every sounding with these parameters: the record
+    length, the probe spectrum S on the _deconv_grid of that length,
+    conj(S), |S|^2 (all three read-only) and whether some |S| bin is below
+    1e-12 of the largest.  A zero probe raises DegenerateProbeError.
+    Callers check the arguments first; only the last probe is kept."""
+    probe = gen_chirp(bandwidth_hz, chirp_duration_s, sample_rate_hz)
+    if np.max(np.abs(probe)) == 0.0:
+        raise DegenerateProbeError("probe is identically zero")
+    n_record = len(probe) + cir_length - 1
+    spec_probe = np.fft.fft(probe, _deconv_grid(n_record))
+    mags = np.abs(spec_probe)
+    probe_power = mags**2
+    conj_probe = np.conj(spec_probe)
+    for arr in (spec_probe, conj_probe, probe_power):
+        arr.setflags(write=False)
+    return n_record, spec_probe, conj_probe, probe_power, bool(mags.min() < 1e-12 * mags.max())
+
+
 def sound_cirs(
     ensemble: ChannelEnsemble,
     rx_index: int,
@@ -344,7 +367,9 @@ def sound_cirs(
     Wiener division and one inverse FFT give every estimate.  The result
     equals a time-domain convolution, AWGN and Wiener deconvolution per
     antenna to rounding; the noise is drawn in the same order (per
-    antenna, real then imaginary).
+    antenna, real then imaginary).  The probe's spectrum is computed once
+    and reused while the bandwidth, chirp duration, sample rate and L stay
+    the same.
     """
     if sounding_snr_db is not None:
         _check_real(_SNR_NAME, sounding_snr_db, -MAX_SNR_DB, MAX_SNR_DB, "[]")
@@ -354,14 +379,10 @@ def sound_cirs(
     _check_sounding_size(
         ensemble.n_tx, ensemble.cir_length, chirp_duration_s, params.sample_rate_hz
     )
-    probe = gen_chirp(params.bandwidth_hz, chirp_duration_s, params.sample_rate_hz)
-    if np.max(np.abs(probe)) == 0.0:
-        raise DegenerateProbeError("probe is identically zero")
-    n_record = len(probe) + ensemble.cir_length - 1
-    nfft = _deconv_grid(n_record)
-    spec_probe = np.fft.fft(probe, nfft)
-    mags = np.abs(spec_probe)
-    probe_power = mags**2
+    n_record, spec_probe, conj_probe, probe_power, near_null = _sounding_probe(
+        params.bandwidth_hz, chirp_duration_s, params.sample_rate_hz, ensemble.cir_length
+    )
+    nfft = len(spec_probe)
     spec_rx = spec_probe * np.fft.fft(ensemble.cirs[:, rx_index], nfft, axis=1)
     if sounding_snr_db is None:
         epsilon = 1e-6 * float(probe_power.max())
@@ -369,13 +390,13 @@ def sound_cirs(
         record_power = np.sum(np.abs(spec_rx) ** 2, axis=1, keepdims=True) / (nfft * n_record)
         sigma2 = record_power * 10.0 ** (-sounding_snr_db / 10.0)
         noise = gen.standard_normal((ensemble.n_tx, 2, n_record))
-        spec_rx += np.fft.fft(
-            np.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1]), nfft, axis=1
-        )
+        white = noise[:, 0] + 1j * noise[:, 1]
+        white *= np.sqrt(sigma2 / 2.0)
+        spec_rx += np.fft.fft(white, nfft, axis=1)
         epsilon = sigma2 * n_record
-        if np.any(epsilon == 0.0) and mags.min() < 1e-12 * mags.max():
+        if np.any(epsilon == 0.0) and near_null:
             raise IllConditionedError("epsilon = 0 with near-zero probe spectrum bins")
-    est = np.fft.ifft(spec_rx * np.conj(spec_probe) / (probe_power + epsilon), axis=1)
+    est = np.fft.ifft(spec_rx * conj_probe * (1.0 / (probe_power + epsilon)), axis=1)
     # A copy, so that an estimate does not pin the (n_tx, nfft) buffer.
     return est[:, : ensemble.cir_length].copy()
 

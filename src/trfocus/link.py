@@ -105,9 +105,12 @@ def trdma_link(
 ) -> TrdmaResult:
     """Reception of U users precoded towards their own targets.
 
-    Each user transmits a unit impulse shaped by its own TR bank.  Bank
-    v's field at the U targets is one transient (U, 2L-1) block, of which
-    the result keeps the focusing-instant column and user v's own row.
+    Each user transmits a unit impulse shaped by its own TR bank.  User
+    v's own row comes from running bank v through its own target's
+    spectrum only.  The focusing-instant samples are inner products of the
+    time-flipped banks with the targets' CIRs, one (U x L) @ (L x U)
+    product per antenna, except at_peak[v, v], which is copied from
+    own_rx[v], so that own_rx[v, peak_index] == at_peak[v, v] exactly.
     A symbol_period_samples that is not an integer >= 1, or a result over
     ENSEMBLE_BUDGET_BYTES, raises ParameterError before anything is
     propagated.
@@ -127,13 +130,18 @@ def trdma_link(
     check_trdma_size(n_users, length)
     for bank in banks:
         _check_bank(bank, ensemble)
-    target_spectra = ensemble.spectrum.transpose(2, 0, 1)[:, :, list(targets)]  # (nfft, n_tx, U)
-    at_peak = np.empty((n_users, n_users), dtype=np.complex128)
+    spectrum_fm = ensemble.spectrum.transpose(2, 0, 1)
+    columns = list(targets)
     own_rx = np.empty((n_users, 2 * length - 1), dtype=np.complex128)
-    for v, bank in enumerate(banks):
-        rows = _bank_through_channel(bank, target_spectra)  # rows[u]: at user u
-        at_peak[v] = rows[:, length - 1]
-        own_rx[v] = rows[v]
+    for v, (bank, t) in enumerate(zip(banks, columns)):
+        own_rx[v] = _bank_through_channel(bank, spectrum_fm[:, :, t : t + 1])[0]
+    # Sample L-1 of bank v at user u is sum_a sum_n w_{v,a}[n] h_{a,u}[L-1-n]:
+    # per antenna, the time-flipped banks times the targets' CIRs.
+    at_peak = np.zeros((n_users, n_users), dtype=np.complex128)
+    for a in range(ensemble.n_tx):
+        flipped = np.stack([bank[a, ::-1] for bank in banks])  # (U, L)
+        at_peak += flipped @ ensemble.cirs[a, columns].T
+    np.fill_diagonal(at_peak, own_rx[:, length - 1])
     at_peak.setflags(write=False)
     own_rx.setflags(write=False)
     return TrdmaResult(

@@ -98,10 +98,16 @@ def focusing_gain(field: SpaceTimeField, target_index: int) -> float:
     target_row = power[target_index]
     peak_n = int(np.argmax(target_row))
     peak = float(target_row[peak_n])
-    time_mask = np.abs(np.arange(n_time) - peak_n) > 2 * field.oversample
-    row_mask = np.ones(n_rx, dtype=bool)
-    row_mask[target_index] = False
-    background = power[np.ix_(row_mask, time_mask)]
+    # The rows other than the target times the columns outside the guard,
+    # copied block by block in row-major order.
+    lo = max(peak_n - 2 * field.oversample, 0)
+    hi = min(peak_n + 2 * field.oversample + 1, n_time)
+    background = np.empty((n_rx - 1, lo + n_time - hi))
+    t = target_index
+    background[:t, :lo] = power[:t, :lo]
+    background[:t, lo:] = power[:t, hi:]
+    background[t:, :lo] = power[t + 1 :, :lo]
+    background[t:, lo:] = power[t + 1 :, hi:]
     if background.size == 0:
         raise DegenerateBackgroundError("no background samples outside the guard")
     mean_bg = float(background.mean())

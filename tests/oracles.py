@@ -9,7 +9,12 @@ import numpy as np
 
 import trfocus.experiment as experiment
 from trfocus.channel import SPEED_OF_LIGHT_M_S as C
-from trfocus.errors import DegenerateProbeError, IllConditionedError, ParameterError
+from trfocus.errors import (
+    DegenerateBackgroundError,
+    DegenerateProbeError,
+    IllConditionedError,
+    ParameterError,
+)
 from trfocus.experiment import _deconv_grid
 
 
@@ -113,3 +118,23 @@ def no_tr_power(ensemble, chirp_duration_s, tx_energy):
     filt = probe * math.sqrt(tx_energy / np.sum(np.abs(probe) ** 2))
     summed = ensemble.cirs.sum(axis=0)
     return np.array([np.mean(np.abs(np.convolve(filt, h)) ** 2) for h in summed])
+
+
+def focusing_gain_by_mask(field, target_index):
+    """metrics.focusing_gain with the background gathered by a row mask and
+    a guard mask through np.ix_."""
+    n_rx, n_time = field.field.shape
+    power = np.abs(field.field) ** 2
+    target_row = power[target_index]
+    peak_n = int(np.argmax(target_row))
+    peak = float(target_row[peak_n])
+    time_mask = np.abs(np.arange(n_time) - peak_n) > 2 * field.oversample
+    row_mask = np.ones(n_rx, dtype=bool)
+    row_mask[target_index] = False
+    background = power[np.ix_(row_mask, time_mask)]
+    if background.size == 0:
+        raise DegenerateBackgroundError("no background samples outside the guard")
+    mean_bg = float(background.mean())
+    if mean_bg == 0.0:
+        raise DegenerateBackgroundError("background power is identically zero")
+    return 10.0 * math.log10(peak / mean_bg)

@@ -4,6 +4,7 @@ import contextlib
 import math
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
+import trfocus.channel as channel
 from oracles import naive_taps
 from trfocus.channel import (
     SPEED_OF_LIGHT_M_S as C,
@@ -571,6 +573,34 @@ class TestEnsembleExport:
             path.write_bytes(header + b"\n" + wrong)
             with pytest.raises(ParameterError, match="body is not 2x3x.* taps of 16 bytes"):
                 load_ensemble(path)
+
+    def test_header_without_newline_is_refused_after_its_limit(self, tmp_path):
+        # A 64 MiB file with no newline is refused after reading 16 MiB of
+        # it, not read and decoded whole (a 130 MiB peak).
+        path = tmp_path / "ensemble"
+        with open(path, "wb") as fh:
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="header line is over the 16 MiB limit"):
+                load_ensemble(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20, peak
+
+    def test_header_limit_holds_for_save_and_load_alike(self, tmp_path, monkeypatch):
+        ens, path = self.make_small(), tmp_path / "ensemble"
+        save_ensemble(ens, path)
+        header_bytes = path.read_bytes().index(b"\n") + 1
+        monkeypatch.setattr(channel, "_MAX_HEADER_BYTES", header_bytes)
+        np.testing.assert_array_equal(load_ensemble(path).cirs, ens.cirs)
+        monkeypatch.setattr(channel, "_MAX_HEADER_BYTES", header_bytes - 1)
+        with pytest.raises(ParameterError, match="header line is over"):
+            load_ensemble(path)
+        with pytest.raises(ParameterError, match="header line is over"):
+            save_ensemble(ens, tmp_path / "other")
+        assert not (tmp_path / "other").exists()
 
     def test_non_finite_tap_raises_parameter_error(self, tmp_path):
         path = tmp_path / "ensemble"

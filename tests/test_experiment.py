@@ -355,9 +355,39 @@ class TestSounding:
         cirs = build_ensemble(config.cavity, config.grid, 2, 15).cirs.copy()
         cirs[0, 1] = 0.0
         ens = ChannelEnsemble(cirs=cirs, params=config.cavity, grid=config.grid)
+        # The cached probe of another test must not stand in for this one,
+        # nor this one's for the next.
+        experiment._sounding_probe.cache_clear()
         monkeypatch.setattr(experiment, "gen_chirp", lambda *args: probe_samples)
-        assert outcome(sound_cirs, ens, 1, 1e-6, 30.0, 0) is error
-        assert outcome(sound_cirs_per_antenna, ens, 1, 1e-6, 30.0, 0) is error
+        try:
+            assert outcome(sound_cirs, ens, 1, 1e-6, 30.0, 0) is error
+            assert outcome(sound_cirs_per_antenna, ens, 1, 1e-6, 30.0, 0) is error
+        finally:
+            experiment._sounding_probe.cache_clear()
+
+    def test_one_probe_serves_every_sounding_of_an_ensemble(self, monkeypatch):
+        # 31 sub6ghz targets share one chirp; the cached spectrum gives the
+        # same estimates, bit for bit, as a probe built afresh.
+        config = config_from_preset("sub6ghz")
+        ens = build_ensemble(config.cavity, config.grid, 2, 4)
+        calls = []
+        chirp = experiment.gen_chirp
+        monkeypatch.setattr(experiment, "gen_chirp", lambda *a: calls.append(a) or chirp(*a))
+        experiment._sounding_probe.cache_clear()
+        estimates = [
+            sound_cirs(ens, t, config.chirp_duration_s, 30.0, np.random.default_rng(t))
+            for t in range(len(config.grid))
+        ]
+        assert len(calls) == 1
+        for t in (0, 30):
+            experiment._sounding_probe.cache_clear()
+            fresh = sound_cirs(ens, t, config.chirp_duration_s, 30.0, np.random.default_rng(t))
+            np.testing.assert_array_equal(fresh, estimates[t])
+        assert len(calls) == 3
+        assert not experiment._sounding_probe(
+            config.cavity.bandwidth_hz, config.chirp_duration_s,
+            config.cavity.sample_rate_hz, ens.cir_length,
+        )[1].flags.writeable
 
     def test_sounded_trial_still_focuses(self):
         config = self.small_config(csi_mode="sounded", sounding_snr_db=30.0)

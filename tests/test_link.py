@@ -324,15 +324,18 @@ def test_single_antenna_propagation_is_the_unfused_product():
     np.testing.assert_array_equal(focus_field(bank, ens).field, expected)
     banks = [bank, tr_filters(ens.cirs_at(2), 1.0)]
     result = trdma_link(banks, ens, [1, 2], symbol_period_samples=8)
-    np.testing.assert_array_equal(result.at_peak[0], expected[[1, 2], ens.cir_length - 1])
     np.testing.assert_array_equal(result.own_rx[0], expected[1])
+    assert result.at_peak[0, 0] == expected[1, ens.cir_length - 1]
+    # The cross sample is the inner product of the flipped bank with the
+    # other target's CIR, the TR identity for sample L-1.
+    flipped = np.stack([b[0, ::-1] for b in banks])
+    inner = flipped @ ens.cirs[0, [1, 2]].T
+    np.testing.assert_array_equal(result.at_peak[0, 1], inner[0, 1])
+    np.testing.assert_allclose(result.at_peak[0, 1], expected[2, ens.cir_length - 1], rtol=1e-12)
 
 
-def test_sub6ghz_link_peak_memory_is_below_one_cross_table():
-    # 31 sub6ghz users (8 antennas, L = 320): the (U, U, 2L-1) cross table
-    # of every user pair takes 9.8 MB on its own.  The link keeps
-    # 16 * 31 * (31 + 639) bytes, 0.32 MiB; with the gathered target
-    # spectra and one bank's transient block it peaks near 3.7 MiB.
+def sub6ghz_link_and_peak():
+    """A 31-user sub6ghz trdma_link on random taps, and its tracemalloc peak."""
     cfg = config_from_preset("sub6ghz")
     shape = (cfg.n_tx, len(cfg.grid), cfg.cavity.cir_length)
     rng = np.random.default_rng(5)
@@ -347,5 +350,22 @@ def test_sub6ghz_link_peak_memory_is_below_one_cross_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_sub6ghz_link_peak_memory_is_below_one_cross_table():
+    # 31 sub6ghz users (8 antennas, L = 320): the (U, U, 2L-1) cross table
+    # of every user pair takes 9.8 MB on its own.  The link keeps
+    # 16 * 31 * (31 + 639) bytes, 0.32 MiB.
+    result, peak = sub6ghz_link_and_peak()
     assert result.at_peak.nbytes + result.own_rx.nbytes == 16 * 31 * (31 + 639)
     assert peak < 5 << 20, peak
+
+
+def test_sub6ghz_link_holds_no_more_than_one_antennas_blocks():
+    # Besides its result the link holds one antenna's (U, L) flipped banks
+    # and target CIRs, and one bank's spectra over its own target: about
+    # 0.6 MiB.  Gathering every target's spectrum, (nfft, n_tx, U), took
+    # 2.5 MB on its own.
+    _, peak = sub6ghz_link_and_peak()
+    assert peak < 1 << 20, peak

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
 from trfocus.channel import RxGrid, build_ensemble
@@ -18,6 +21,7 @@ from trfocus.metrics import (
 )
 from trfocus.precoding import tr_filters
 
+from oracles import focusing_gain_by_mask
 from test_link import rich_params
 
 
@@ -202,6 +206,46 @@ class TestFocusingGain:
         fld = make_field(np.ones((4, 40), dtype=complex))
         with pytest.raises(ParameterError, match="target_index"):
             focusing_gain(fld, index)
+
+    @staticmethod
+    def assert_matches_mask_oracle(fld, target_index):
+        # The same gain, bit for bit, or the same error.
+        try:
+            expected = focusing_gain_by_mask(fld, target_index)
+        except (DegenerateBackgroundError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                focusing_gain(fld, target_index)
+        else:
+            assert focusing_gain(fld, target_index) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_block_background_equals_mask_oracle_property(self, data):
+        # The background's values and order are the masked gather's, so the
+        # mean and the gain keep their bits.
+        n_rx, n_time = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
+        parts = data.draw(hnp.arrays(np.float64, (n_rx, n_time, 2),
+                                     elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+        fld = make_field(parts[..., 0] + 1j * parts[..., 1],
+                         oversample=data.draw(st.integers(1, 12)))
+        self.assert_matches_mask_oracle(fld, data.draw(st.integers(0, n_rx - 1)))
+
+    @pytest.mark.parametrize("target", [0, 4])
+    @pytest.mark.parametrize("peak_n", [0, 3, 20, 36, 39])
+    def test_targets_at_either_edge_and_peaks_in_either_guard(self, target, peak_n):
+        field = np.random.default_rng(peak_n).standard_normal((5, 40)) + 0j
+        field[target, peak_n] = 100.0
+        self.assert_matches_mask_oracle(make_field(field, oversample=2), target)
+
+    @pytest.mark.parametrize("n_rx, oversample", [(3, 8), (3, 20), (1, 1)])
+    def test_empty_background_raises_like_mask_oracle(self, n_rx, oversample):
+        # The peak is at the last of 17 columns: a guard of 16 or more
+        # columns, or a grid of one position, leaves no background.
+        fld = make_field(np.arange(1.0, 17 * n_rx + 1).reshape(n_rx, 17), oversample=oversample)
+        with pytest.raises(DegenerateBackgroundError):
+            focusing_gain_by_mask(fld, 0)
+        with pytest.raises(DegenerateBackgroundError):
+            focusing_gain(fld, 0)
 
     def test_nt_scaling_adds_9db_and_is_monotone(self):
         # Peak grows like Nt at fixed E_tx while the speckle background
